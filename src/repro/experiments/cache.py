@@ -7,27 +7,27 @@ An entry is addressed by the SHA-256 of a canonical JSON document::
     {
       "experiment_id": ...,
       "params": {"seed": ..., "num_requests": ..., ...},   # spec-filtered
-      "code_fingerprint": sha256(source of the experiment module
-                                 + source of experiments.common),
+      "code_fingerprint": sha256(every .py file of the repro package),
       "version": repro.__version__,
       "format": CACHE_FORMAT,
     }
 
 ``params`` comes from :meth:`ExperimentSpec.cache_relevant_params`, so a
 seed change never invalidates a seed-independent experiment, while any
-change to the experiment's own code, the shared helpers, the package
-version or the on-disk format changes the key and naturally invalidates
-stale entries (content addressing: old entries are simply never looked up
-again).
+change to the package's source -- the experiment itself or anything it
+reaches, down to the FTL -- the package version or the on-disk format
+changes the key and naturally invalidates stale entries (content
+addressing: old entries are simply never looked up again).
 
 Storage
 -------
 One pickle per entry under ``<cache_dir>/results/<key>.pkl`` --
 ``ExperimentResult.data`` holds arbitrary dataclasses, so pickle (not
-JSON) is the fidelity-preserving format.  Writes go through a same-
-directory temp file + ``os.replace`` so a crashed run can never leave a
-half-written entry behind; a corrupt or unreadable entry is treated as a
-miss, deleted, and recomputed (counted in ``stats.invalidated``).
+JSON) is the fidelity-preserving format.  Writes go through the store
+core's durable atomic write (fsynced temp file + ``os.replace``) so a
+crashed run can never leave a half-written entry behind; a corrupt or
+unreadable entry is treated as a miss, deleted, and recomputed (counted
+in ``stats.invalidated``).
 
 The default location is ``$REPRO_CACHE_DIR``, else
 ``$XDG_CACHE_HOME/repro``, else ``~/.cache/repro``.
@@ -35,20 +35,19 @@ The default location is ``$REPRO_CACHE_DIR``, else
 
 from __future__ import annotations
 
+import functools
 import hashlib
-import inspect
 import json
 import os
 import pickle
-import sys
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Optional
 
+import repro
 from repro import __version__
+from repro.store.table import write_durably
 
-from . import common
 from .common import ExperimentResult
 from .spec import ExperimentSpec
 
@@ -101,28 +100,30 @@ class CacheStats:
         )
 
 
-def _module_source(module_name: str) -> str:
-    module = sys.modules.get(module_name)
-    if module is None:  # pragma: no cover - registry imports guarantee this
-        __import__(module_name)
-        module = sys.modules[module_name]
-    try:
-        return inspect.getsource(module)
-    except (OSError, TypeError):  # pragma: no cover - frozen/zipped installs
-        return module_name
+@functools.lru_cache(maxsize=None)
+def _package_fingerprint() -> str:
+    """SHA-256 over the sorted (relative path, bytes) of every ``.py`` in ``repro``."""
+    root = Path(repro.__file__).resolve().parent
+    digest = hashlib.sha256()
+    for relative, path in sorted(
+        (path.relative_to(root).as_posix(), path) for path in root.rglob("*.py")
+    ):
+        payload = path.read_bytes()
+        digest.update(f"{relative}\0{len(payload)}\0".encode("utf-8"))
+        digest.update(payload)
+    return digest.hexdigest()
 
 
 def code_fingerprint(spec: ExperimentSpec) -> str:
-    """SHA-256 over the experiment's own code plus the shared helpers.
+    """SHA-256 over the source of the whole ``repro`` package.
 
-    Editing an experiment module (or :mod:`repro.experiments.common`,
-    which every experiment funnels through) changes the fingerprint and
-    therefore the cache key -- the "config hash" leg of invalidation.
+    An experiment's result depends on far more than its own module -- the
+    workloads, device, FTL, replay and metric layers all shape it -- so
+    the fingerprint covers every module, hashed once per process.  It is
+    therefore the same for every ``spec``; any source edit anywhere
+    changes every cache key.
     """
-    digest = hashlib.sha256()
-    digest.update(_module_source(spec.runner.__module__).encode("utf-8"))
-    digest.update(_module_source(common.__name__).encode("utf-8"))
-    return digest.hexdigest()
+    return _package_fingerprint()
 
 
 def cache_key(
@@ -212,19 +213,8 @@ class ResultCache:
         entry = {"key": key, "format": CACHE_FORMAT, "result": result}
         try:
             self.results_dir.mkdir(parents=True, exist_ok=True)
-            handle = tempfile.NamedTemporaryFile(
-                dir=self.results_dir, prefix=f".{key}.", delete=False
-            )
-            try:
-                with handle:
-                    pickle.dump(entry, handle, protocol=pickle.HIGHEST_PROTOCOL)
-                os.replace(handle.name, self._path_for(key))
-            except BaseException:
-                try:
-                    os.unlink(handle.name)
-                except OSError:
-                    pass
-                raise
+            payload = pickle.dumps(entry, protocol=pickle.HIGHEST_PROTOCOL)
+            write_durably(self._path_for(key), payload)
         except Exception:
             self.stats.errors += 1
             return

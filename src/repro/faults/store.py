@@ -36,23 +36,15 @@ class StoreDamage:
     damaged_nbytes: int
 
 
-def _chunk_index_entries(store_dir: Path) -> List:
+def _chunk_index_entries(store_dir: Path) -> List[dict]:
     """The store's chunk index: manifest if present, else the journal."""
     # Imported here so repro.faults stays importable without repro.store
     # (the device-side fault path has no storage dependency).
-    from repro.store.manifest import (
-        StoreError,
-        journal_path,
-        manifest_path,
-        read_journal,
-        read_manifest,
-    )
+    from repro.store.format import TRACE_SCHEMA
+    from repro.store.table import read_index
 
-    if manifest_path(store_dir).is_file():
-        return read_manifest(store_dir).chunks
-    if journal_path(store_dir).is_file():
-        return read_journal(store_dir).chunks
-    raise StoreError(f"{store_dir!s} has no manifest or journal to locate chunks")
+    journal = not (store_dir / TRACE_SCHEMA.manifest_name).is_file()
+    return read_index(TRACE_SCHEMA, store_dir, journal=journal)["chunks"]
 
 
 def tear_chunk(
@@ -70,7 +62,7 @@ def tear_chunk(
     store_dir = Path(store_dir)
     chunks = _chunk_index_entries(store_dir)
     info = chunks[chunk_index]
-    path = store_dir / info.file
+    path = store_dir / info["file"]
     original = path.stat().st_size
     keep = original // 2 if keep_bytes is None else int(keep_bytes)
     if not 0 <= keep < original:
@@ -80,11 +72,9 @@ def tear_chunk(
     if drop_manifest:
         from repro.store.manifest import manifest_path
 
-        manifest_file = manifest_path(store_dir)
-        if manifest_file.exists():
-            manifest_file.unlink()
+        manifest_path(store_dir).unlink(missing_ok=True)
     return StoreDamage(
-        file=info.file,
+        file=info["file"],
         kind="torn",
         offset=keep,
         original_nbytes=original,
@@ -109,10 +99,10 @@ def corrupt_chunk(
     if chunk_index is None:
         chunk_index = int(stream.integers(0, len(chunks)))
     info = chunks[chunk_index]
-    path = store_dir / info.file
+    path = store_dir / info["file"]
     original = path.stat().st_size
     if original == 0:
-        raise ValueError(f"{info.file} is empty; nothing to corrupt")
+        raise ValueError(f"{info['file']} is empty; nothing to corrupt")
     offset = int(stream.integers(0, original))
     with open(path, "r+b") as handle:
         handle.seek(offset)
@@ -121,7 +111,7 @@ def corrupt_chunk(
         # XOR with 0xFF always changes the byte, whatever its value.
         handle.write(bytes([byte ^ 0xFF]))
     return StoreDamage(
-        file=info.file,
+        file=info["file"],
         kind="corrupt",
         offset=offset,
         original_nbytes=original,

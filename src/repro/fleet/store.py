@@ -1,47 +1,42 @@
-"""Chunked columnar fleet store -- ``repro/store``'s layout for devices.
+"""Chunked columnar fleet store: a table-core schema for per-device rows.
 
-A fleet store is a directory::
+A fleet store is a :mod:`chunked table <repro.store.table>` directory::
 
     fleet/
       fleet.json          # manifest: scenario, string tables, chunk index
       devices-00000.bin   # chunk: FLEET_COLUMNS arrays, column-major
       devices-00001.bin
 
-Each chunk holds ``chunk_devices`` per-device rows (the last one fewer)
-as concatenated little-endian column arrays in :data:`FLEET_COLUMNS`
-order -- struct-of-arrays on disk, exactly like :mod:`repro.store` for
-request traces and :mod:`repro.telemetry.spanstore` for spans.  Reads
-memory-map one chunk at a time, so fleet analytics over arbitrarily
-large populations run out of core.
-
-Determinism: the manifest embeds the scenario (the store is
-self-describing: ``show-device --resimulate`` needs nothing else), app /
-config / fault-profile string tables in scenario-mix order, one SHA-256
-per chunk, and no timestamps -- two runs of the same scenario produce
-byte-identical directories regardless of ``--jobs`` or
-``PYTHONHASHSEED`` (the CI fleet job compares manifests across both).
-The manifest is written last via temp + ``os.replace``, so a crashed
-run never leaves a directory that claims to be a complete fleet.
+Each chunk holds ``chunk_devices`` per-device rows (the last one fewer).
+The table core owns chunk bytes, checksums, the crash journal
+(``fleet.partial.json`` while a run is in flight), the durable manifest
+write, memmap decode and verification; this module adds row -> column
+assembly, the app / config / fault-profile string tables (scenario-mix
+order) and the scenario header, which makes the store self-describing:
+``show-device --resimulate`` needs nothing else.  No timestamps: two
+runs of the same scenario produce byte-identical directories regardless
+of ``--jobs`` or ``PYTHONHASHSEED`` (the CI fleet job compares them).
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
 from pathlib import Path
 from types import TracebackType
 from typing import Dict, Iterator, List, Optional, Tuple, Type, Union
 
 import numpy as np
 
+from repro.store.table import (
+    StoreError,
+    StoreVerifyResult,
+    TableSchema,
+    TableWriter,
+    decode_chunk,
+    open_index,
+    verify_chunks,
+)
+
 from .scenario import FleetScenario
-
-#: Manifest file name inside a fleet-store directory.
-FLEET_MANIFEST_NAME = "fleet.json"
-
-_FORMAT = "repro-fleet-store"
-_VERSION = 1
 
 #: Per-device row schema: (column, little-endian dtype), in on-disk order.
 #: ``*_id`` columns index the manifest's string tables (scenario-mix
@@ -92,16 +87,24 @@ DEFAULT_CHUNK_DEVICES = 256
 DeviceRow = Dict[str, Union[int, float]]
 
 
-class FleetStoreError(RuntimeError):
+class FleetStoreError(StoreError):
     """A fleet store is missing, malformed, or fails verification."""
 
 
-def _chunk_filename(index: int) -> str:
-    return f"devices-{index:05d}.bin"
+FLEET_SCHEMA = TableSchema(
+    label="fleet store",
+    format="repro-fleet-store",
+    version=1,
+    manifest_name="fleet.json",
+    chunk_pattern="devices-{:05d}.bin",
+    columns=FLEET_COLUMNS,
+    columns_layout="pairs",
+    total_key="total_devices",
+    error=FleetStoreError,
+)
 
-
-def _schema_as_json() -> List[List[str]]:
-    return [[name, dtype] for name, dtype in FLEET_COLUMNS]
+#: Manifest file name inside a fleet-store directory.
+FLEET_MANIFEST_NAME = FLEET_SCHEMA.manifest_name
 
 
 class FleetStoreWriter:
@@ -126,32 +129,19 @@ class FleetStoreWriter:
         self.scenario = scenario
         self.chunk_devices = int(chunk_devices)
         self._pending: List[DeviceRow] = []
-        self._chunks: List[Dict[str, object]] = []
-        self._rows_written = 0
-        self._closed = False
         self.manifest: Optional[Dict[str, object]] = None
-        self.path.mkdir(parents=True, exist_ok=True)
-        manifest_file = self.path / FLEET_MANIFEST_NAME
-        if manifest_file.exists():
-            if not overwrite:
-                raise FleetStoreError(
-                    f"{self.path!s} already holds a fleet store "
-                    "(pass overwrite=True to replace it)"
-                )
-            manifest_file.unlink()
-            for stale in sorted(self.path.glob("devices-*.bin")):
-                stale.unlink()
+        self._table = TableWriter(FLEET_SCHEMA, self.path, overwrite)
 
     @property
     def rows_written(self) -> int:
         """Rows already flushed to chunk files."""
-        return self._rows_written
+        return self._table.rows_written
 
     def append_row(self, row: DeviceRow) -> None:
         """Queue one device's row (rows must arrive in device-index order)."""
-        if self._closed:
+        if self._table.closed:
             raise FleetStoreError("fleet writer is closed")
-        expected = self._rows_written + len(self._pending)
+        expected = self.rows_written + len(self._pending)
         if int(row["device_index"]) != expected:
             raise FleetStoreError(
                 f"rows must arrive in device-index order: got device "
@@ -169,60 +159,35 @@ class FleetStoreWriter:
         for row in rows:
             self.append_row(row)
 
+    def _header(self) -> Dict[str, object]:
+        return {"scenario": self.scenario.as_dict(), "chunk_devices": self.chunk_devices}
+
     def _flush(self, count: int) -> None:
         batch, self._pending = self._pending[:count], self._pending[count:]
-        digest = hashlib.sha256()
-        nbytes = 0
-        file_name = _chunk_filename(len(self._chunks))
-        with open(self.path / file_name, "wb") as handle:
-            for name, dtype in FLEET_COLUMNS:
-                array = np.array([row[name] for row in batch], dtype=dtype)
-                payload = array.tobytes()
-                digest.update(payload)
-                handle.write(payload)
-                nbytes += len(payload)
-        self._chunks.append(
-            {
-                "file": file_name,
-                "rows": len(batch),
-                "nbytes": nbytes,
-                "sha256": digest.hexdigest(),
-            }
+        self._table.write_chunk(
+            {name: [row[name] for row in batch] for name, _ in FLEET_COLUMNS},
+            self._header(),
         )
-        self._rows_written += len(batch)
 
     def close(self, request_summary: Optional[Dict[str, object]] = None) -> Dict[str, object]:
-        """Flush the tail chunk and write the manifest atomically.
+        """Flush the tail chunk and write the manifest durably.
 
         ``request_summary`` (optional) is the fleet-level request-stat
         rollup the executor folded; it is embedded verbatim so the
         manifest's bytes cover the merged metric states too.
         """
-        if self._closed:
+        if self._table.closed:
             raise FleetStoreError("fleet writer is already closed")
         if self._pending:
             self._flush(len(self._pending))
-        manifest: Dict[str, object] = {
-            "format": _FORMAT,
-            "version": _VERSION,
-            "scenario": self.scenario.as_dict(),
-            "columns": _schema_as_json(),
-            "chunk_devices": self.chunk_devices,
-            "total_devices": self._rows_written,
-            "apps": self.scenario.app_names(),
-            "configs": self.scenario.config_names(),
-            "fault_profiles": self.scenario.fault_profile_names(),
-            "chunks": self._chunks,
-        }
+        header = self._header()
+        header["apps"] = self.scenario.app_names()
+        header["configs"] = self.scenario.config_names()
+        header["fault_profiles"] = self.scenario.fault_profile_names()
         if request_summary is not None:
-            manifest["request_summary"] = request_summary
-        manifest_file = self.path / FLEET_MANIFEST_NAME
-        temp = manifest_file.with_suffix(".json.tmp")
-        temp.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-        os.replace(temp, manifest_file)
-        self._closed = True
-        self.manifest = manifest
-        return manifest
+            header["request_summary"] = request_summary
+        self.manifest = self._table.close(header)
+        return self.manifest
 
     def __enter__(self) -> "FleetStoreWriter":
         return self
@@ -234,7 +199,7 @@ class FleetStoreWriter:
         tb: Optional[TracebackType],
     ) -> None:
         # Only finalize a clean exit; an exception leaves no manifest.
-        if exc_type is None and not self._closed:
+        if exc_type is None and not self._table.closed:
             self.close()
 
 
@@ -243,25 +208,7 @@ class FleetStore:
 
     def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
-        manifest_path = self.path / FLEET_MANIFEST_NAME
-        try:
-            manifest = json.loads(manifest_path.read_text())
-        except FileNotFoundError:
-            raise FleetStoreError(f"no fleet store at {self.path!s}") from None
-        except json.JSONDecodeError as error:
-            raise FleetStoreError(
-                f"corrupt fleet manifest at {manifest_path!s}: {error}"
-            ) from None
-        if manifest.get("format") != _FORMAT:
-            raise FleetStoreError(f"{manifest_path!s} is not a fleet store manifest")
-        if manifest.get("version") != _VERSION:
-            raise FleetStoreError(
-                f"unsupported fleet store version {manifest.get('version')!r}"
-            )
-        if manifest.get("columns") != _schema_as_json():
-            raise FleetStoreError(
-                "fleet store column schema does not match this reader"
-            )
+        manifest = open_index(FLEET_SCHEMA, self.path)
         self.manifest = manifest
         self.apps: List[str] = list(manifest["apps"])
         self.configs: List[str] = list(manifest["configs"])
@@ -283,31 +230,8 @@ class FleetStore:
         """The population description this store was produced from."""
         return FleetScenario.from_dict(self.manifest["scenario"])
 
-    def _chunk_bytes(self, info: Dict[str, object]) -> np.memmap:
-        chunk_path = self.path / str(info["file"])
-        try:
-            mapped = np.memmap(chunk_path, dtype=np.uint8, mode="r")
-        except (FileNotFoundError, ValueError) as error:
-            raise FleetStoreError(
-                f"unreadable fleet chunk {info['file']!r}: {error}"
-            ) from None
-        if mapped.nbytes != info["nbytes"]:
-            raise FleetStoreError(
-                f"fleet chunk {info['file']!r} is {mapped.nbytes} bytes, "
-                f"manifest says {info['nbytes']}"
-            )
-        return mapped
-
     def _decode_chunk(self, info: Dict[str, object]) -> Dict[str, np.ndarray]:
-        mapped = self._chunk_bytes(info)
-        rows = int(info["rows"])
-        offset = 0
-        columns: Dict[str, np.ndarray] = {}
-        for name, dtype in FLEET_COLUMNS:
-            width = np.dtype(dtype).itemsize * rows
-            columns[name] = np.frombuffer(mapped, dtype=dtype, count=rows, offset=offset)
-            offset += width
-        return columns
+        return decode_chunk(FLEET_SCHEMA, self.path / str(info["file"]), int(info["rows"]))
 
     def iter_chunks(self) -> Iterator[Dict[str, np.ndarray]]:
         """Yield each chunk's columns, one memory-mapped chunk at a time."""
@@ -343,20 +267,9 @@ class FleetStore:
             position -= rows
         raise FleetStoreError("manifest chunk rows disagree with total_devices")
 
-    def verify(self) -> None:
+    def verify(self) -> StoreVerifyResult:
         """Re-hash every chunk against the manifest; raises on mismatch."""
-        total = 0
-        for info in self.manifest["chunks"]:
-            digest = hashlib.sha256(self._chunk_bytes(info).tobytes()).hexdigest()
-            if digest != info["sha256"]:
-                raise FleetStoreError(
-                    f"fleet chunk {info['file']!r} fails its checksum"
-                )
-            total += int(info["rows"])
-        if total != len(self):
-            raise FleetStoreError(
-                f"chunk rows sum to {total}, manifest says {len(self)}"
-            )
+        return verify_chunks(FLEET_SCHEMA, self.path, self.manifest["chunks"])
 
 
 def open_fleet_store(path: Union[str, Path]) -> FleetStore:

@@ -16,11 +16,12 @@ the full trace).  Read side: :func:`open_store` returns a
 iteration, pruned range/mask selection and a ``to_trace()`` escape
 hatch.  Pair with :mod:`repro.streaming` for out-of-core analysis.
 
-Crash consistency: the writer journals flushed chunks
-(:class:`StoreJournal`, removed on clean close); :meth:`TraceStore.verify`
-re-hashes chunks into a :class:`StoreVerifyResult`; and :func:`repair`
-quarantines, rebuilds or finalizes damaged/half-written stores.  See
-``docs/fault-model.md`` for the repair workflow.
+The format itself -- chunk files, checksummed index, crash journal,
+durable manifest writes, memmap decode and verification -- is the
+schema-driven table core in :mod:`repro.store.table`, shared with the
+fleet and span stores.  This package adds the trace schema, re-chunking,
+range pruning and :func:`repair`, which quarantines, rebuilds or
+finalizes damaged/half-written stores (``docs/fault-model.md``).
 
 See ``docs/trace-store.md`` for the on-disk layout and chunk-size
 guidance.
@@ -41,7 +42,6 @@ from .format import (
 )
 from .manifest import (
     ChunkInfo,
-    StoreError,
     StoreJournal,
     StoreManifest,
     journal_path,
@@ -50,14 +50,9 @@ from .manifest import (
     write_journal,
     write_manifest,
 )
-from .reader import (
-    BadChunk,
-    StoreVerifyResult,
-    TraceStore,
-    open_store,
-    verify_chunk_file,
-)
+from .reader import TraceStore, open_store, verify_chunk_file
 from .repair import RepairReport, repair
+from .table import BadChunk, StoreError, StoreVerifyResult
 from .writer import StoreWriter, concat_columns, pack, write_chunk_file
 
 __all__ = [

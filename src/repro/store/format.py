@@ -1,6 +1,6 @@
-"""On-disk layout constants of the chunked columnar trace store.
+"""The trace store's table schema and on-disk layout constants.
 
-A store is a directory::
+A trace store is a :mod:`chunked table <repro.store.table>` directory::
 
     mystore/
         manifest.json         # schema, metadata, per-chunk index
@@ -20,48 +20,15 @@ column (struct-of-arrays on disk, exactly like in memory)::
     offset 40*rows    : op               uint8[rows]
     offset 41*rows    : flags            uint8[rows]
 
-so a reader can :func:`numpy.memmap` any single column of any chunk
-without touching the rest of the file.  Row counts per chunk, arrival
-min/max (for range pruning) and SHA-256 content checksums live in the
-manifest; the chunk files themselves carry no header.
+``arrival_us`` is the schema's range column: every chunk entry records
+its min/max, so range selection skips chunks without opening them.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Tuple
 
-import numpy as np
-
-#: Manifest ``format`` marker and current layout version.
-STORE_FORMAT = "repro-trace-store"
-STORE_VERSION = 1
-
-#: File name of the JSON manifest inside the store directory.
-MANIFEST_NAME = "manifest.json"
-
-#: File name of the writer's crash journal.  Present only while a
-#: :class:`~repro.store.writer.StoreWriter` is mid-stream (it is removed
-#: by ``close()``), so finding one next to chunk files -- without a
-#: manifest -- identifies a killed writer; ``repro.store.repair`` can
-#: finalize the store from it.
-JOURNAL_NAME = "manifest.partial.json"
-
-#: Manifest ``format`` marker of the crash journal.
-JOURNAL_FORMAT = "repro-trace-store-journal"
-
-#: Suffix appended to quarantined (corrupt/torn) chunk files by repair.
-QUARANTINE_SUFFIX = ".corrupt"
-
-#: Column order inside each chunk file (must match the write order).
-CHUNK_COLUMNS: Tuple[str, ...] = (
-    "arrival_us",
-    "service_start_us",
-    "complete_us",
-    "lba",
-    "size",
-    "op",
-    "flags",
-)
+from .table import TableSchema
 
 #: Explicit little-endian dtype per column -- the on-disk byte contract.
 COLUMN_DTYPES: Dict[str, str] = {
@@ -74,37 +41,44 @@ COLUMN_DTYPES: Dict[str, str] = {
     "flags": "|u1",
 }
 
+#: Column order inside each chunk file (must match the write order).
+CHUNK_COLUMNS: Tuple[str, ...] = tuple(COLUMN_DTYPES)
+
+TRACE_SCHEMA = TableSchema(
+    label="trace store",
+    format="repro-trace-store",
+    version=1,
+    manifest_name="manifest.json",
+    chunk_pattern="chunk-{:06d}.bin",
+    columns=tuple(COLUMN_DTYPES.items()),
+    range_column="arrival_us",
+)
+
+#: Manifest ``format`` marker and current layout version.
+STORE_FORMAT = TRACE_SCHEMA.format
+STORE_VERSION = TRACE_SCHEMA.version
+
+#: File name of the JSON manifest inside the store directory.
+MANIFEST_NAME = TRACE_SCHEMA.manifest_name
+
+#: File name of the writer's crash journal (``manifest.partial.json``),
+#: present only while a :class:`~repro.store.writer.StoreWriter` is
+#: mid-stream; ``repro.store.repair`` can finalize a store from it.
+JOURNAL_NAME = TRACE_SCHEMA.journal_name
+
+#: Manifest ``format`` marker of the crash journal.
+JOURNAL_FORMAT = TRACE_SCHEMA.journal_format
+
+#: Suffix appended to quarantined (corrupt/torn) chunk files by repair.
+QUARANTINE_SUFFIX = ".corrupt"
+
 #: Bytes one row occupies across all columns (3*8 + 2*8 + 2*1).
-ROW_NBYTES = sum(np.dtype(COLUMN_DTYPES[name]).itemsize for name in CHUNK_COLUMNS)
+ROW_NBYTES = TRACE_SCHEMA.row_nbytes
 
 #: Default rows per chunk: 64 Ki rows is ~2.1 MiB per chunk file, small
 #: enough that a re-chunking reader never concatenates much, large enough
 #: that the manifest stays tiny even for 1000x-scaled traces.
 DEFAULT_CHUNK_ROWS = 65536
 
-
-def chunk_filename(index: int) -> str:
-    """File name of the ``index``-th chunk (zero-based, zero-padded)."""
-    if index < 0:
-        raise ValueError("chunk index must be non-negative")
-    return f"chunk-{index:06d}.bin"
-
-
-def chunk_nbytes(rows: int) -> int:
-    """Size in bytes of a chunk file holding ``rows`` rows."""
-    return rows * ROW_NBYTES
-
-
-def column_offsets(rows: int) -> Dict[str, int]:
-    """Byte offset of each column inside a chunk file of ``rows`` rows."""
-    offsets: Dict[str, int] = {}
-    position = 0
-    for name in CHUNK_COLUMNS:
-        offsets[name] = position
-        position += rows * np.dtype(COLUMN_DTYPES[name]).itemsize
-    return offsets
-
-
-def schema_as_json() -> Dict[str, str]:
-    """The dtype schema exactly as serialized into the manifest."""
-    return {name: COLUMN_DTYPES[name] for name in CHUNK_COLUMNS}
+#: File name of the ``index``-th chunk (zero-based, zero-padded).
+chunk_filename = TRACE_SCHEMA.chunk_filename

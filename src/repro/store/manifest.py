@@ -1,47 +1,25 @@
-"""The JSON manifest of a chunked trace store.
+"""Typed views of the trace store's manifest and crash journal.
 
-The manifest is the only structured file in a store directory; every
-chunk file is raw column bytes described here.  It records
-
-* identity: trace ``name`` and free-form string ``metadata`` (the same
-  pair a :class:`~repro.trace.Trace` carries, so store round-trips are
-  lossless);
-* the dtype schema (column name -> little-endian dtype string), pinned
-  at write time so readers can reject incompatible layouts;
-* one entry per chunk: file name, row count, min/max ``arrival_us``
-  (range-pruning index), byte size and SHA-256 content checksum;
-* ``arrival_sorted``: whether the concatenated stream is globally
-  non-decreasing in arrival time (always true for generated/replayed
-  traces; possibly false for raw ``blkparse`` imports, which complete
-  out of arrival order).
-
-Manifests are written atomically (temp file + ``os.replace``) and are
-deterministic -- no timestamps -- so packing the same trace twice yields
-byte-identical stores, which the test suite exploits.
+The manifest records identity -- trace ``name`` and free-form string
+``metadata``, the pair a :class:`~repro.trace.Trace` carries, so store
+round-trips are lossless -- plus ``arrival_sorted``: whether the
+concatenated stream is globally non-decreasing in arrival time (always
+true for generated/replayed traces; possibly false for raw ``blkparse``
+imports, which complete out of arrival order).  Format, version, column
+schema, row total and the chunk index are the table core's
+(:mod:`repro.store.table`), which also validates them on read and writes
+both files durably.
 """
 
 from __future__ import annotations
 
 import json
-import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Union
 
-from .format import (
-    CHUNK_COLUMNS,
-    JOURNAL_FORMAT,
-    JOURNAL_NAME,
-    MANIFEST_NAME,
-    STORE_FORMAT,
-    STORE_VERSION,
-    chunk_nbytes,
-    schema_as_json,
-)
-
-
-class StoreError(RuntimeError):
-    """A trace store directory is missing, malformed or corrupt."""
+from .format import TRACE_SCHEMA
+from .table import StoreError, index_document, open_index, read_index, write_json
 
 
 @dataclass(frozen=True)
@@ -56,28 +34,34 @@ class ChunkInfo:
     nbytes: int
 
     def as_dict(self) -> Dict[str, object]:
-        return {
-            "file": self.file,
-            "rows": self.rows,
-            "min_arrival_us": self.min_arrival_us,
-            "max_arrival_us": self.max_arrival_us,
-            "sha256": self.sha256,
-            "nbytes": self.nbytes,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, raw: Dict[str, object]) -> "ChunkInfo":
         try:
             return cls(
-                file=str(raw["file"]),
-                rows=int(raw["rows"]),  # type: ignore[arg-type]
-                min_arrival_us=float(raw["min_arrival_us"]),  # type: ignore[arg-type]
-                max_arrival_us=float(raw["max_arrival_us"]),  # type: ignore[arg-type]
-                sha256=str(raw["sha256"]),
-                nbytes=int(raw["nbytes"]),  # type: ignore[arg-type]
+                str(raw["file"]),
+                int(raw["rows"]),  # type: ignore[arg-type]
+                float(raw["min_arrival_us"]),  # type: ignore[arg-type]
+                float(raw["max_arrival_us"]),  # type: ignore[arg-type]
+                str(raw["sha256"]),
+                int(raw["nbytes"]),  # type: ignore[arg-type]
             )
         except (KeyError, TypeError, ValueError) as error:
             raise StoreError(f"malformed chunk entry in manifest: {raw!r}") from error
+
+
+def _identity(raw: Dict[str, object]) -> Dict[str, object]:
+    """Constructor fields shared by the manifest and the journal."""
+    metadata = raw.get("metadata") or {}
+    if not isinstance(metadata, dict):
+        raise StoreError("store metadata must be an object")
+    return {
+        "name": str(raw.get("name", "trace")),
+        "metadata": {str(k): str(v) for k, v in metadata.items()},
+        "chunks": [ChunkInfo.from_dict(entry) for entry in raw.get("chunks", [])],  # type: ignore[union-attr]
+        "arrival_sorted": bool(raw.get("arrival_sorted", True)),
+    }
 
 
 @dataclass
@@ -99,68 +83,37 @@ class StoreManifest:
         """Payload bytes across every chunk file."""
         return sum(chunk.nbytes for chunk in self.chunks)
 
-    def as_dict(self) -> Dict[str, object]:
+    def header(self) -> Dict[str, object]:
+        """The trace store's own manifest keys (the core adds the rest)."""
         return {
-            "format": STORE_FORMAT,
-            "version": STORE_VERSION,
             "name": self.name,
             "metadata": dict(self.metadata),
-            "columns": schema_as_json(),
             "arrival_sorted": self.arrival_sorted,
-            "total_rows": self.total_rows,
-            "chunks": [chunk.as_dict() for chunk in self.chunks],
         }
+
+    def as_dict(self) -> Dict[str, object]:
+        return index_document(
+            TRACE_SCHEMA, self.header(), [chunk.as_dict() for chunk in self.chunks]
+        )
 
     def dumps(self) -> str:
         return json.dumps(self.as_dict(), indent=2, sort_keys=True) + "\n"
 
     @classmethod
     def from_dict(cls, raw: Dict[str, object]) -> "StoreManifest":
-        if raw.get("format") != STORE_FORMAT:
-            raise StoreError(f"not a trace store manifest: format={raw.get('format')!r}")
-        version = raw.get("version")
-        if version != STORE_VERSION:
-            raise StoreError(
-                f"unsupported store version {version!r} (reader supports {STORE_VERSION})"
-            )
-        columns = raw.get("columns")
-        if columns != schema_as_json():
-            raise StoreError(
-                f"incompatible column schema {columns!r}; expected {schema_as_json()!r}"
-            )
-        metadata_raw = raw.get("metadata") or {}
-        if not isinstance(metadata_raw, dict):
-            raise StoreError("manifest metadata must be an object")
-        manifest = cls(
-            name=str(raw.get("name", "trace")),
-            metadata={str(k): str(v) for k, v in metadata_raw.items()},
-            chunks=[ChunkInfo.from_dict(entry) for entry in raw.get("chunks", [])],  # type: ignore[union-attr]
-            arrival_sorted=bool(raw.get("arrival_sorted", True)),
-        )
-        declared = raw.get("total_rows")
-        if declared is not None and int(declared) != manifest.total_rows:  # type: ignore[arg-type]
-            raise StoreError(
-                f"manifest total_rows={declared} disagrees with chunk sum "
-                f"{manifest.total_rows}"
-            )
-        for chunk in manifest.chunks:
-            if chunk.nbytes != chunk_nbytes(chunk.rows):
-                raise StoreError(
-                    f"chunk {chunk.file}: {chunk.nbytes} bytes inconsistent with "
-                    f"{chunk.rows} rows x {len(CHUNK_COLUMNS)} columns"
-                )
-        return manifest
+        """Build from a manifest object :func:`~repro.store.table.read_index` validated."""
+        return cls(**_identity(raw))  # type: ignore[arg-type]
 
 
 @dataclass
 class StoreJournal:
     """The writer's crash journal: everything flushed so far.
 
-    Re-written atomically after every chunk flush and deleted on a clean
+    Re-written durably after every chunk flush and deleted on a clean
     ``close()``, so its presence (without a manifest) marks a store whose
     writer died mid-stream.  The journaled chunks were fully written and
-    checksummed *before* the journal entry, so repair can trust them
-    after re-hashing; any chunk file beyond the journal is a torn tail.
+    fsynced *before* the journal entry, so repair can trust them after
+    re-hashing; any chunk file beyond the journal is a torn tail.
     """
 
     name: str
@@ -174,100 +127,61 @@ class StoreJournal:
         """Rows across every journaled (durable) chunk."""
         return sum(chunk.rows for chunk in self.chunks)
 
-    def as_dict(self) -> Dict[str, object]:
+    def header(self) -> Dict[str, object]:
+        """The trace store's own journal keys (the core adds the rest)."""
         return {
-            "format": JOURNAL_FORMAT,
-            "version": STORE_VERSION,
             "name": self.name,
             "metadata": dict(self.metadata),
-            "columns": schema_as_json(),
             "chunk_rows": self.chunk_rows,
             "arrival_sorted": self.arrival_sorted,
-            "chunks": [chunk.as_dict() for chunk in self.chunks],
         }
+
+    def as_dict(self) -> Dict[str, object]:
+        return index_document(
+            TRACE_SCHEMA,
+            self.header(),
+            [chunk.as_dict() for chunk in self.chunks],
+            journal=True,
+        )
 
     def dumps(self) -> str:
         return json.dumps(self.as_dict(), indent=2, sort_keys=True) + "\n"
 
     @classmethod
     def from_dict(cls, raw: Dict[str, object]) -> "StoreJournal":
-        if raw.get("format") != JOURNAL_FORMAT:
-            raise StoreError(f"not a store journal: format={raw.get('format')!r}")
-        if raw.get("version") != STORE_VERSION:
-            raise StoreError(f"unsupported journal version {raw.get('version')!r}")
-        if raw.get("columns") != schema_as_json():
-            raise StoreError("journal column schema does not match this reader")
-        metadata_raw = raw.get("metadata") or {}
-        if not isinstance(metadata_raw, dict):
-            raise StoreError("journal metadata must be an object")
-        return cls(
-            name=str(raw.get("name", "trace")),
-            metadata={str(k): str(v) for k, v in metadata_raw.items()},
-            chunk_rows=int(raw.get("chunk_rows", 0)),  # type: ignore[arg-type]
-            chunks=[ChunkInfo.from_dict(entry) for entry in raw.get("chunks", [])],  # type: ignore[union-attr]
-            arrival_sorted=bool(raw.get("arrival_sorted", True)),
-        )
+        """Build from a journal object :func:`~repro.store.table.read_index` validated."""
+        return cls(chunk_rows=int(raw.get("chunk_rows", 0)), **_identity(raw))  # type: ignore[arg-type]
 
 
 def journal_path(store_dir: Union[str, Path]) -> Path:
     """Path of the crash journal inside ``store_dir``."""
-    return Path(store_dir) / JOURNAL_NAME
+    return Path(store_dir) / TRACE_SCHEMA.journal_name
+
+
+def manifest_path(store_dir: Union[str, Path]) -> Path:
+    """Path of the manifest file inside ``store_dir``."""
+    return Path(store_dir) / TRACE_SCHEMA.manifest_name
 
 
 def write_journal(store_dir: Union[str, Path], journal: StoreJournal) -> Path:
-    """Atomically write the crash journal (temp + rename)."""
+    """Durably and atomically write the crash journal."""
     path = journal_path(store_dir)
-    temp = path.with_suffix(".json.tmp")
-    temp.write_text(journal.dumps())
-    os.replace(temp, path)
+    write_json(path, journal.as_dict())
+    return path
+
+
+def write_manifest(store_dir: Union[str, Path], manifest: StoreManifest) -> Path:
+    """Durably and atomically write ``manifest`` into ``store_dir``."""
+    path = manifest_path(store_dir)
+    write_json(path, manifest.as_dict())
     return path
 
 
 def read_journal(store_dir: Union[str, Path]) -> StoreJournal:
     """Load and validate the crash journal of ``store_dir``."""
-    path = journal_path(store_dir)
-    if not path.is_file():
-        raise StoreError(f"no store journal at {store_dir!s} (missing {JOURNAL_NAME})")
-    try:
-        raw = json.loads(path.read_text())
-    except json.JSONDecodeError as error:
-        raise StoreError(f"corrupt journal at {path!s}: {error}") from error
-    if not isinstance(raw, dict):
-        raise StoreError(f"corrupt journal at {path!s}: not a JSON object")
-    return StoreJournal.from_dict(raw)
-
-
-def manifest_path(store_dir: Union[str, Path]) -> Path:
-    """Path of the manifest file inside ``store_dir``."""
-    return Path(store_dir) / MANIFEST_NAME
-
-
-def write_manifest(store_dir: Union[str, Path], manifest: StoreManifest) -> Path:
-    """Atomically write ``manifest`` into ``store_dir`` (temp + rename)."""
-    path = manifest_path(store_dir)
-    temp = path.with_suffix(".json.tmp")
-    temp.write_text(manifest.dumps())
-    os.replace(temp, path)
-    return path
+    return StoreJournal.from_dict(read_index(TRACE_SCHEMA, store_dir, journal=True))
 
 
 def read_manifest(store_dir: Union[str, Path]) -> StoreManifest:
-    """Load and validate the manifest of ``store_dir``."""
-    path = manifest_path(store_dir)
-    if not path.is_file():
-        raise StoreError(f"no trace store at {store_dir!s} (missing {MANIFEST_NAME})")
-    try:
-        raw = json.loads(path.read_text())
-    except json.JSONDecodeError as error:
-        raise StoreError(f"corrupt manifest at {path!s}: {error}") from error
-    if not isinstance(raw, dict):
-        raise StoreError(f"corrupt manifest at {path!s}: not a JSON object")
-    manifest = StoreManifest.from_dict(raw)
-    missing: Optional[str] = None
-    for chunk in manifest.chunks:
-        if not (Path(store_dir) / chunk.file).is_file():
-            missing = chunk.file
-            break
-    if missing is not None:
-        raise StoreError(f"store at {store_dir!s} is missing chunk file {missing}")
-    return manifest
+    """Load and validate the manifest of ``store_dir`` (chunk files present)."""
+    return StoreManifest.from_dict(open_index(TRACE_SCHEMA, store_dir))

@@ -24,8 +24,6 @@ while views of it are alive is undefined behaviour -- copy first
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterator, List, Optional, Sequence, Union
 
@@ -33,56 +31,10 @@ import numpy as np
 
 from repro.trace import Trace, TraceColumns
 
-from .format import CHUNK_COLUMNS, COLUMN_DTYPES, column_offsets
-from .manifest import ChunkInfo, StoreError, StoreManifest, read_manifest
+from .format import TRACE_SCHEMA
+from .manifest import ChunkInfo, StoreManifest, read_manifest
+from .table import BadChunk, StoreVerifyResult, check_chunk, decode_chunk, verify_chunks
 from .writer import concat_columns
-
-
-@dataclass(frozen=True)
-class BadChunk:
-    """One chunk file that failed verification."""
-
-    file: str
-    #: Why: ``"missing"`` (file gone), ``"truncated"`` (short file, a torn
-    #: write), or ``"corrupt"`` (right size, wrong checksum -- bit rot).
-    reason: str
-    expected_nbytes: int
-    actual_nbytes: int
-
-    def describe(self) -> str:
-        """One-line human summary."""
-        if self.reason == "missing":
-            return f"{self.file}: missing"
-        if self.reason == "truncated":
-            return (
-                f"{self.file}: truncated ({self.actual_nbytes} of "
-                f"{self.expected_nbytes} bytes)"
-            )
-        return f"{self.file}: checksum mismatch"
-
-
-@dataclass
-class StoreVerifyResult:
-    """Outcome of re-hashing every chunk against the manifest."""
-
-    chunks_checked: int = 0
-    bytes_verified: int = 0
-    bad_chunks: List[BadChunk] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        """True when every chunk matched its recorded checksum and size."""
-        return not self.bad_chunks
-
-    def describe(self) -> str:
-        """One-line human summary for the CLI."""
-        if self.ok:
-            return (
-                f"ok: {self.chunks_checked} chunks, "
-                f"{self.bytes_verified} bytes verified"
-            )
-        problems = "; ".join(bad.describe() for bad in self.bad_chunks)
-        return f"FAILED ({len(self.bad_chunks)} of {self.chunks_checked} chunks): {problems}"
 
 
 def verify_chunk_file(
@@ -90,26 +42,10 @@ def verify_chunk_file(
 ) -> Optional[BadChunk]:
     """Check one chunk file against its index entry; ``None`` when sound.
 
-    Shared by :meth:`TraceStore.verify` and :func:`repro.store.repair.repair`
-    (which also verifies against journal entries, before a manifest exists).
+    :func:`repro.store.repair.repair` uses it on journal entries too,
+    before a manifest exists.
     """
-    path = Path(store_dir) / info.file
-    if not path.is_file():
-        return BadChunk(info.file, "missing", info.nbytes, 0)
-    digest = hashlib.sha256()
-    read = 0
-    with open(path, "rb") as handle:
-        while True:
-            block = handle.read(1 << 20)
-            if not block:
-                break
-            digest.update(block)
-            read += len(block)
-    if read != info.nbytes:
-        return BadChunk(info.file, "truncated", info.nbytes, read)
-    if digest.hexdigest() != info.sha256:
-        return BadChunk(info.file, "corrupt", info.nbytes, read)
-    return None
+    return check_chunk(Path(store_dir) / info.file, info.nbytes, info.sha256)
 
 
 class TraceStore:
@@ -158,17 +94,7 @@ class TraceStore:
     def chunk(self, index: int) -> TraceColumns:
         """The ``index``-th stored chunk as zero-copy memmap columns."""
         info = self.manifest.chunks[index]
-        path = self.path / info.file
-        offsets = column_offsets(info.rows)
-        arrays = {}
-        for column in CHUNK_COLUMNS:
-            arrays[column] = np.memmap(
-                path,
-                dtype=np.dtype(COLUMN_DTYPES[column]),
-                mode="r",
-                offset=offsets[column],
-                shape=(info.rows,),
-            )
+        arrays = decode_chunk(TRACE_SCHEMA, self.path / info.file, info.rows)
         self.chunks_opened += 1
         return TraceColumns(**arrays)
 
@@ -287,24 +213,12 @@ class TraceStore:
         ``strict=False`` is the survey mode :func:`repro.store.repair.repair`
         builds on.
         """
-        result = StoreVerifyResult()
-        for info in self.manifest.chunks:
-            result.chunks_checked += 1
-            bad = verify_chunk_file(self.path, info)
-            if bad is None:
-                result.bytes_verified += info.nbytes
-                continue
-            if strict:
-                if bad.reason == "truncated":
-                    raise StoreError(
-                        f"chunk {info.file}: {bad.actual_nbytes} bytes on disk, "
-                        f"manifest says {info.nbytes}"
-                    )
-                if bad.reason == "missing":
-                    raise StoreError(f"chunk {info.file}: file is missing")
-                raise StoreError(f"chunk {info.file}: checksum mismatch")
-            result.bad_chunks.append(bad)
-        return result
+        return verify_chunks(
+            TRACE_SCHEMA,
+            self.path,
+            [info.as_dict() for info in self.manifest.chunks],
+            strict=strict,
+        )
 
     @property
     def chunk_infos(self) -> Sequence[ChunkInfo]:

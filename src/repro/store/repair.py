@@ -26,7 +26,7 @@ passes.
 
 from __future__ import annotations
 
-import json
+import itertools
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -36,7 +36,7 @@ import numpy as np
 
 from repro.trace import Trace, TraceColumns
 
-from .format import QUARANTINE_SUFFIX, chunk_filename
+from .format import QUARANTINE_SUFFIX, TRACE_SCHEMA, chunk_filename
 from .manifest import (
     ChunkInfo,
     StoreError,
@@ -46,7 +46,8 @@ from .manifest import (
     read_journal,
     write_manifest,
 )
-from .reader import BadChunk, open_store, verify_chunk_file
+from .reader import open_store, verify_chunk_file
+from .table import read_index
 from .writer import write_chunk_file
 
 
@@ -129,25 +130,17 @@ def _repair_against_index(
     report: RepairReport,
 ) -> List[ChunkInfo]:
     """Quarantine+rebuild (or truncate) bad chunks; returns the kept index."""
-    bad: List[BadChunk] = []
-    bad_indices: List[int] = []
-    for index, info in enumerate(chunks):
-        problem = verify_chunk_file(store_dir, info)
-        if problem is not None:
-            bad.append(problem)
-            bad_indices.append(index)
+    problems = (verify_chunk_file(store_dir, info) for info in chunks)
+    bad = [(i, problem) for i, problem in enumerate(problems) if problem is not None]
     if not bad:
         return list(chunks)
-    offsets: List[int] = []
-    position = 0
-    for info in chunks:
-        offsets.append(position)
-        position += info.rows
-    for problem, index in zip(bad, bad_indices):
+    for _, problem in bad:
         if problem.reason != "missing":
             _quarantine(store_dir, problem.file, report)
+    bad_indices = [index for index, _ in bad]
     if columns is not None:
-        for problem, index in zip(bad, bad_indices):
+        offsets = [0, *itertools.accumulate(info.rows for info in chunks)]
+        for index in bad_indices:
             _rebuild_chunk(store_dir, chunks[index], offsets[index], columns, report)
         return list(chunks)
     # No source: recoverable only when the damage is a pure tail.
@@ -181,13 +174,7 @@ def repair(
     journal_file = journal_path(store_dir)
 
     if manifest_file.is_file():
-        try:
-            raw = json.loads(manifest_file.read_text())
-        except json.JSONDecodeError as error:
-            raise StoreError(f"corrupt manifest at {manifest_file!s}: {error}") from error
-        if not isinstance(raw, dict):
-            raise StoreError(f"corrupt manifest at {manifest_file!s}: not a JSON object")
-        manifest = StoreManifest.from_dict(raw)
+        manifest = StoreManifest.from_dict(read_index(TRACE_SCHEMA, store_dir))
         kept = _repair_against_index(store_dir, manifest.chunks, columns, report)
         if kept != manifest.chunks:
             manifest = StoreManifest(
@@ -246,7 +233,7 @@ def repair(
             "nothing to repair from"
         )
 
-    verified = open_store(store_dir).verify(strict=True)
-    report.total_rows = open_store(store_dir).manifest.total_rows
-    assert verified.ok  # strict verify raised otherwise
+    repaired = open_store(store_dir)
+    repaired.verify(strict=True)
+    report.total_rows = repaired.manifest.total_rows
     return report

@@ -7,20 +7,13 @@ the workload generator, the ``blkparse`` importer, a device replay loop
 :class:`~repro.trace.Trace` in memory.  :func:`pack` is the one-shot
 convenience over it.
 
-The writer is careful about durability and determinism:
-
-* chunk files are written column-by-column in :data:`~repro.store.format.CHUNK_COLUMNS`
-  order while a SHA-256 checksum is folded over the exact bytes written;
-* the manifest is only written by :meth:`StoreWriter.close` (atomic
-  temp + rename), so a crashed pack never leaves a readable-looking
-  store behind;
-* no timestamps anywhere: packing the same trace twice produces
-  byte-identical directories.
+Chunk bytes, checksums, the crash journal and the durable manifest write
+are the table core's (:class:`~repro.store.table.TableWriter`); this
+module adds the re-chunking buffer and the ``arrival_sorted`` tracking.
 """
 
 from __future__ import annotations
 
-import hashlib
 from pathlib import Path
 from types import TracebackType
 from typing import Dict, Iterable, List, Optional, Sequence, Type, Union
@@ -29,54 +22,23 @@ import numpy as np
 
 from repro.trace import Request, Trace, TraceColumns
 
-from .format import (
-    CHUNK_COLUMNS,
-    COLUMN_DTYPES,
-    DEFAULT_CHUNK_ROWS,
-    JOURNAL_NAME,
-    MANIFEST_NAME,
-    chunk_filename,
-)
-from .manifest import (
-    ChunkInfo,
-    StoreError,
-    StoreJournal,
-    StoreManifest,
-    journal_path,
-    write_journal,
-    write_manifest,
-)
+from .format import CHUNK_COLUMNS, DEFAULT_CHUNK_ROWS, TRACE_SCHEMA
+from .manifest import ChunkInfo, StoreError, StoreManifest
+from .table import TableWriter, write_chunk
 
 
-def write_chunk_file(path: Path, columns: TraceColumns) -> "ChunkInfo":
+def _column_map(columns: TraceColumns) -> Dict[str, np.ndarray]:
+    return {name: getattr(columns, name) for name in CHUNK_COLUMNS}
+
+
+def write_chunk_file(path: Path, columns: TraceColumns) -> ChunkInfo:
     """Write one chunk file and return its manifest entry.
 
-    Columns go to disk in :data:`~repro.store.format.CHUNK_COLUMNS` order
-    while a SHA-256 is folded over the exact bytes written -- the one
-    byte-level writer shared by :class:`StoreWriter` and
-    :func:`repro.store.repair.repair` (so a rebuilt chunk is bit-identical
-    to the original pack's).
+    The one byte-level writer shared by :class:`StoreWriter` and
+    :func:`repro.store.repair.repair`, so a rebuilt chunk is bit-identical
+    to the original pack's.
     """
-    digest = hashlib.sha256()
-    nbytes = 0
-    with open(path, "wb") as handle:
-        for name in CHUNK_COLUMNS:
-            array = np.ascontiguousarray(
-                getattr(columns, name), dtype=np.dtype(COLUMN_DTYPES[name])
-            )
-            payload = array.tobytes()
-            digest.update(payload)
-            handle.write(payload)
-            nbytes += len(payload)
-    arrivals = columns.arrival_us
-    return ChunkInfo(
-        file=path.name,
-        rows=len(columns),
-        min_arrival_us=float(arrivals.min()),
-        max_arrival_us=float(arrivals.max()),
-        sha256=digest.hexdigest(),
-        nbytes=nbytes,
-    )
+    return ChunkInfo.from_dict(write_chunk(TRACE_SCHEMA, path, _column_map(columns)))
 
 
 def concat_columns(pieces: Sequence[TraceColumns]) -> TraceColumns:
@@ -124,37 +86,17 @@ class StoreWriter:
         self.chunk_rows = int(chunk_rows)
         self._pending: List[TraceColumns] = []
         self._pending_rows = 0
-        self._chunks: List[ChunkInfo] = []
         self._sorted = True
         self._last_arrival: Optional[float] = None
-        self._closed = False
         #: Populated by :meth:`close`.
         self.manifest: Optional[StoreManifest] = None
-        self.path.mkdir(parents=True, exist_ok=True)
-        manifest_file = self.path / MANIFEST_NAME
-        journal_file = self.path / JOURNAL_NAME
-        if manifest_file.exists() or journal_file.exists():
-            if not overwrite:
-                what = (
-                    "a trace store"
-                    if manifest_file.exists()
-                    else "a crashed writer's journal (repair or overwrite it)"
-                )
-                raise StoreError(
-                    f"{self.path!s} already holds {what} "
-                    "(pass overwrite=True to replace it)"
-                )
-            for stale_meta in (manifest_file, journal_file):
-                if stale_meta.exists():
-                    stale_meta.unlink()
-            for stale in sorted(self.path.glob("chunk-*.bin")):
-                stale.unlink()
+        self._table = TableWriter(TRACE_SCHEMA, self.path, overwrite)
 
     # -- appending ------------------------------------------------------------
 
     def append_columns(self, columns: TraceColumns) -> None:
         """Queue a columnar batch (any length, including zero)."""
-        if self._closed:
+        if self._table.closed:
             raise StoreError("writer is closed")
         rows = len(columns)
         if rows == 0:
@@ -200,22 +142,14 @@ class StoreWriter:
         return concat_columns(taken)
 
     def _flush_rows(self, rows: int) -> None:
-        columns = self._take_rows(rows)
-        file_name = chunk_filename(len(self._chunks))
-        self._chunks.append(write_chunk_file(self.path / file_name, columns))
-        # Crash consistency: journal the chunks flushed so far (atomic
-        # replace, *after* the chunk file is durable).  A writer killed
-        # mid-stream leaves the journal plus possibly one torn chunk
-        # beyond it; ``repro.store.repair`` finalizes from there.
-        write_journal(
-            self.path,
-            StoreJournal(
-                name=self.name,
-                metadata=self.metadata,
-                chunk_rows=self.chunk_rows,
-                chunks=self._chunks,
-                arrival_sorted=self._sorted,
-            ),
+        self._table.write_chunk(
+            _column_map(self._take_rows(rows)),
+            {
+                "name": self.name,
+                "metadata": self.metadata,
+                "chunk_rows": self.chunk_rows,
+                "arrival_sorted": self._sorted,
+            },
         )
 
     # -- finalization ---------------------------------------------------------
@@ -223,27 +157,21 @@ class StoreWriter:
     @property
     def rows_written(self) -> int:
         """Rows already flushed to chunk files."""
-        return sum(chunk.rows for chunk in self._chunks)
+        return self._table.rows_written
 
     def close(self) -> StoreManifest:
-        """Flush the partial tail chunk and write the manifest atomically."""
-        if self._closed:
+        """Flush the partial tail chunk and write the manifest durably."""
+        if self._table.closed:
             raise StoreError("writer is already closed")
         if self._pending_rows:
             self._flush_rows(self._pending_rows)
         manifest = StoreManifest(
             name=self.name,
             metadata=self.metadata,
-            chunks=self._chunks,
+            chunks=[ChunkInfo.from_dict(entry) for entry in self._table.chunks],
             arrival_sorted=self._sorted,
         )
-        write_manifest(self.path, manifest)
-        # The manifest supersedes the journal; removing it keeps a packed
-        # directory byte-identical to pre-journal packs (and re-packs).
-        journal = journal_path(self.path)
-        if journal.exists():
-            journal.unlink()
-        self._closed = True
+        self._table.close(manifest.header())
         self.manifest = manifest
         return manifest
 
@@ -258,7 +186,7 @@ class StoreWriter:
     ) -> None:
         # Only finalize a clean exit; a raised exception leaves no manifest,
         # so the partial directory is not mistaken for a valid store.
-        if exc_type is None and not self._closed:
+        if exc_type is None and not self._table.closed:
             self.close()
 
 
@@ -278,25 +206,16 @@ def pack(
     batches (the fully streaming path).
     """
     if isinstance(source, Trace):
-        writer = StoreWriter(
-            path,
-            name=name if name is not None else source.name,
-            metadata=metadata if metadata is not None else source.metadata,
-            chunk_rows=chunk_rows,
-            overwrite=overwrite,
-        )
-        writer.append_trace(source)
-    else:
-        writer = StoreWriter(
-            path,
-            name=name if name is not None else "trace",
-            metadata=metadata,
-            chunk_rows=chunk_rows,
-            overwrite=overwrite,
-        )
-        if isinstance(source, TraceColumns):
-            writer.append_columns(source)
-        else:
-            for batch in source:
-                writer.append_columns(batch)
+        name = source.name if name is None else name
+        metadata = source.metadata if metadata is None else metadata
+        source = source.columns()
+    writer = StoreWriter(
+        path,
+        name="trace" if name is None else name,
+        metadata=metadata,
+        chunk_rows=chunk_rows,
+        overwrite=overwrite,
+    )
+    for batch in [source] if isinstance(source, TraceColumns) else source:
+        writer.append_columns(batch)
     return writer.close()

@@ -1,6 +1,6 @@
-"""Chunked columnar span table -- ``repro/store``'s layout for spans.
+"""Chunked columnar span table: a table-core schema for spans.
 
-A span store is a directory::
+A span store is a :mod:`chunked table <repro.store.table>` directory::
 
     spans/
       spans.json        # manifest: string tables, chunk index, checksums
@@ -10,58 +10,58 @@ A span store is a directory::
 Each chunk holds ``chunk_rows`` spans (the last one fewer) as six
 concatenated column arrays: ``parent`` (int64), ``name_id``/``cat_id``/
 ``track_id`` (uint32 indices into the manifest's string tables), and
-``start_us``/``dur_us`` (float64).  Reads memory-map one chunk at a
-time, so span analytics over arbitrarily large recordings run out of
-core -- the same discipline as :mod:`repro.store` for request traces.
-
-Determinism: string tables are built in first-seen order, the manifest
-is serialized with sorted keys and no timestamps, and chunk bytes are a
-pure function of the spans -- packing the same recording twice (any
-process, any hash seed) produces byte-identical directories.  The
-manifest is written last via a temp file + ``os.replace``, so a crashed
-pack leaves no store that claims to be complete.
+``start_us``/``dur_us`` (float64).  The table core owns chunk bytes,
+checksums, the crash journal (``spans.partial.json`` while packing), the
+durable manifest write, memmap decode and verification; this module adds
+string interning (first-seen order, so any process and any hash seed
+packs byte-identical directories) and :meth:`SpanStore.totals_by_name`.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
-from .core import S_CAT, S_DUR, S_NAME, S_PARENT, S_START, S_TRACK, Telemetry
-
-#: Manifest file name inside a span-store directory.
-SPAN_MANIFEST_NAME = "spans.json"
-
-_FORMAT = "repro-span-store"
-_VERSION = 1
-
-#: Column order inside a chunk file: (field, dtype).
-_COLUMNS: Tuple[Tuple[str, str], ...] = (
-    ("parent", "<i8"),
-    ("name_id", "<u4"),
-    ("cat_id", "<u4"),
-    ("track_id", "<u4"),
-    ("start_us", "<f8"),
-    ("dur_us", "<f8"),
+from repro.store.table import (
+    StoreError,
+    StoreVerifyResult,
+    TableSchema,
+    TableWriter,
+    decode_chunk,
+    open_index,
+    verify_chunks,
 )
 
+from .core import S_CAT, S_DUR, S_NAME, S_PARENT, S_START, S_TRACK, Telemetry
 
-class SpanStoreError(RuntimeError):
+
+class SpanStoreError(StoreError):
     """A span store is missing, malformed, or fails verification."""
 
 
-def _intern(value: str, table: Dict[str, int], names: List[str]) -> int:
-    index = table.get(value)
-    if index is None:
-        index = len(names)
-        table[value] = index
-        names.append(value)
-    return index
+SPAN_SCHEMA = TableSchema(
+    label="span store",
+    format="repro-span-store",
+    version=1,
+    manifest_name="spans.json",
+    chunk_pattern="spans-{:05d}.bin",
+    columns=(
+        ("parent", "<i8"),
+        ("name_id", "<u4"),
+        ("cat_id", "<u4"),
+        ("track_id", "<u4"),
+        ("start_us", "<f8"),
+        ("dur_us", "<f8"),
+    ),
+    columns_layout=None,
+    error=SpanStoreError,
+)
+
+#: Manifest file name inside a span-store directory.
+SPAN_MANIFEST_NAME = SPAN_SCHEMA.manifest_name
 
 
 def pack_spans(
@@ -73,78 +73,46 @@ def pack_spans(
     """Write ``telemetry``'s spans as a span store; returns the manifest."""
     if chunk_rows < 1:
         raise ValueError("chunk_rows must be positive")
-    manifest_path = os.path.join(path, SPAN_MANIFEST_NAME)
-    if os.path.exists(manifest_path) and not overwrite:
-        raise SpanStoreError(f"span store already exists at {path!r}")
-    os.makedirs(path, exist_ok=True)
+    writer = TableWriter(SPAN_SCHEMA, path, overwrite)
+    # String -> id tables; dicts keep first-seen order for the manifest.
+    names: Dict[str, int] = {}
+    cats: Dict[str, int] = {}
+    tracks: Dict[str, int] = {}
 
-    names: List[str] = []
-    cats: List[str] = []
-    tracks: List[str] = []
-    name_table: Dict[str, int] = {}
-    cat_table: Dict[str, int] = {}
-    track_table: Dict[str, int] = {}
+    def header() -> dict:
+        return {
+            "chunk_rows": chunk_rows,
+            "names": list(names),
+            "cats": list(cats),
+            "tracks": list(tracks),
+        }
 
     spans = telemetry.spans
-    total = len(spans)
-    chunks = []
-    for offset in range(0, total, chunk_rows):
+    for offset in range(0, len(spans), chunk_rows):
         batch = spans[offset : offset + chunk_rows]
         rows = len(batch)
         columns = {
-            "parent": np.fromiter(
-                (span[S_PARENT] for span in batch), dtype="<i8", count=rows
-            ),
+            "parent": np.fromiter((span[S_PARENT] for span in batch), "<i8", rows),
             "name_id": np.fromiter(
-                (_intern(span[S_NAME], name_table, names) for span in batch),
-                dtype="<u4",
-                count=rows,
+                (names.setdefault(span[S_NAME], len(names)) for span in batch),
+                "<u4",
+                rows,
             ),
             "cat_id": np.fromiter(
-                (_intern(span[S_CAT], cat_table, cats) for span in batch),
-                dtype="<u4",
-                count=rows,
+                (cats.setdefault(span[S_CAT], len(cats)) for span in batch), "<u4", rows
             ),
             "track_id": np.fromiter(
-                (_intern(span[S_TRACK], track_table, tracks) for span in batch),
-                dtype="<u4",
-                count=rows,
+                (tracks.setdefault(span[S_TRACK], len(tracks)) for span in batch),
+                "<u4",
+                rows,
             ),
-            "start_us": np.fromiter(
-                (span[S_START] for span in batch), dtype="<f8", count=rows
-            ),
-            "dur_us": np.fromiter(
-                (span[S_DUR] for span in batch), dtype="<f8", count=rows
-            ),
+            "start_us": np.fromiter((span[S_START] for span in batch), "<f8", rows),
+            "dur_us": np.fromiter((span[S_DUR] for span in batch), "<f8", rows),
         }
-        payload = b"".join(columns[field].tobytes() for field, _ in _COLUMNS)
-        file_name = f"spans-{len(chunks):05d}.bin"
-        with open(os.path.join(path, file_name), "wb") as handle:
-            handle.write(payload)
-        chunks.append({
-            "file": file_name,
-            "rows": rows,
-            "nbytes": len(payload),
-            "sha256": hashlib.sha256(payload).hexdigest(),
-        })
-
-    manifest = {
-        "format": _FORMAT,
-        "version": _VERSION,
-        "total_rows": total,
-        "chunk_rows": chunk_rows,
-        "names": names,
-        "cats": cats,
-        "tracks": tracks,
-        "chunks": chunks,
-        "meta": {str(key): str(value) for key, value in telemetry.meta.items()},
-    }
-    temp_path = manifest_path + ".tmp"
-    with open(temp_path, "w") as handle:
-        json.dump(manifest, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    os.replace(temp_path, manifest_path)
-    return manifest
+        writer.write_chunk(columns, header())
+    manifest_header = header()
+    manifest_header["meta"] = {str(key): str(value) for key, value in telemetry.meta.items()}
+    return writer.close(manifest_header)
 
 
 @dataclass
@@ -167,28 +135,10 @@ class SpanStore:
 
     def __init__(self, path: str) -> None:
         self.path = path
-        manifest_path = os.path.join(path, SPAN_MANIFEST_NAME)
-        try:
-            with open(manifest_path) as handle:
-                manifest = json.load(handle)
-        except FileNotFoundError:
-            raise SpanStoreError(f"no span store at {path!r}") from None
-        except json.JSONDecodeError as error:
-            raise SpanStoreError(
-                f"corrupt span manifest at {manifest_path!r}: {error}"
-            ) from None
-        if manifest.get("format") != _FORMAT:
-            raise SpanStoreError(
-                f"{manifest_path!r} is not a span store manifest"
-            )
-        if manifest.get("version") != _VERSION:
-            raise SpanStoreError(
-                f"unsupported span store version {manifest.get('version')!r}"
-            )
-        self.manifest = manifest
-        self.names: List[str] = manifest["names"]
-        self.cats: List[str] = manifest["cats"]
-        self.tracks: List[str] = manifest["tracks"]
+        self.manifest = open_index(SPAN_SCHEMA, path)
+        self.names: List[str] = self.manifest["names"]
+        self.cats: List[str] = self.manifest["cats"]
+        self.tracks: List[str] = self.manifest["tracks"]
 
     def __len__(self) -> int:
         return self.manifest["total_rows"]
@@ -197,44 +147,15 @@ class SpanStore:
     def num_chunks(self) -> int:
         return len(self.manifest["chunks"])
 
-    def _chunk_bytes(self, info: dict) -> np.memmap:
-        chunk_path = os.path.join(self.path, info["file"])
-        try:
-            mapped = np.memmap(chunk_path, dtype=np.uint8, mode="r")
-        except (FileNotFoundError, ValueError) as error:
-            raise SpanStoreError(
-                f"unreadable span chunk {info['file']!r}: {error}"
-            ) from None
-        if mapped.nbytes != info["nbytes"]:
-            raise SpanStoreError(
-                f"span chunk {info['file']!r} is {mapped.nbytes} bytes, "
-                f"manifest says {info['nbytes']}"
-            )
-        return mapped
-
     def iter_chunks(self) -> Iterator[SpanChunk]:
         """Yield each chunk's columns, one memory-mapped chunk at a time."""
         for info in self.manifest["chunks"]:
-            mapped = self._chunk_bytes(info)
-            rows = info["rows"]
-            offset = 0
-            columns = {}
-            for field, dtype in _COLUMNS:
-                width = np.dtype(dtype).itemsize * rows
-                columns[field] = np.frombuffer(
-                    mapped, dtype=dtype, count=rows, offset=offset
-                )
-                offset += width
-            yield SpanChunk(**columns)
+            path = Path(self.path) / info["file"]
+            yield SpanChunk(**decode_chunk(SPAN_SCHEMA, path, info["rows"]))
 
-    def verify(self) -> None:
+    def verify(self) -> StoreVerifyResult:
         """Re-hash every chunk against the manifest; raises on mismatch."""
-        for info in self.manifest["chunks"]:
-            digest = hashlib.sha256(self._chunk_bytes(info).tobytes()).hexdigest()
-            if digest != info["sha256"]:
-                raise SpanStoreError(
-                    f"span chunk {info['file']!r} fails its checksum"
-                )
+        return verify_chunks(SPAN_SCHEMA, self.path, self.manifest["chunks"])
 
     def totals_by_name(self) -> Dict[str, Tuple[int, float]]:
         """Out-of-core ``name -> (count, total_us)`` aggregation."""

@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import os
 import pickle
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.experiments import parallel, runner
 from repro.experiments.cache import (
     CACHE_DIR_ENV,
@@ -115,6 +121,42 @@ class TestInvalidation:
         fingerprint = code_fingerprint(spec)
         assert fingerprint == code_fingerprint(spec)  # stable
         assert len(fingerprint) == 64
+
+
+class TestSourceFingerprint:
+    """The key must change when any module the results depend on does."""
+
+    _PROBE = (
+        "import repro\n"
+        "from repro.experiments.cache import cache_key\n"
+        "from repro.experiments.registry import REGISTRY\n"
+        "print(repro.__file__)\n"
+        "print(cache_key(REGISTRY['fig8'], 1, 100))\n"
+    )
+
+    def _key(self, src: Path) -> str:
+        proc = subprocess.run(
+            [sys.executable, "-B", "-c", self._PROBE],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        module_file, key = proc.stdout.split()
+        assert Path(module_file).is_relative_to(src)  # the copy, not the repo
+        return key
+
+    def test_deep_module_edit_changes_key(self, tmp_path):
+        package = tmp_path / "src" / "repro"
+        shutil.copytree(
+            Path(repro.__file__).parent,
+            package,
+            ignore=shutil.ignore_patterns("__pycache__"),
+        )
+        before = self._key(tmp_path / "src")
+        gc_module = package / "emmc" / "ftl" / "gc.py"
+        gc_module.write_text(gc_module.read_text() + "\n# edited\n")
+        assert self._key(tmp_path / "src") != before
 
 
 class TestCorruption:
