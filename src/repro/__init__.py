@@ -1,7 +1,7 @@
 """repro: reproduction of "I/O Characteristics of Smartphone Applications
 and Their Implications for eMMC Design" (IISWC 2015).
 
-The package has eight subsystems (see DESIGN.md):
+The main subsystems (see DESIGN.md):
 
 * :mod:`repro.trace` -- block-level I/O trace model and serialization;
 * :mod:`repro.sim` -- the shared discrete-event kernel (clock, event
@@ -11,8 +11,12 @@ The package has eight subsystems (see DESIGN.md):
 * :mod:`repro.emmc` -- the event-driven eMMC simulator with the HPS scheme;
 * :mod:`repro.analysis` / :mod:`repro.experiments` -- characterization and
   the per-table/figure reproduction harness;
-* :mod:`repro.store` / :mod:`repro.streaming` -- chunked on-disk columnar
-  trace store and out-of-core, mergeable streaming analytics.
+* :mod:`repro.metrics` -- one definition per statistic, with batch,
+  sharded and out-of-core (chunk-folding) engines;
+* :mod:`repro.store` -- the chunked on-disk columnar trace store;
+* :mod:`repro.replay`, :mod:`repro.faults`, :mod:`repro.telemetry`,
+  :mod:`repro.fleet` -- the replay fast path, fault injection, span
+  tracing and device-population runs.
 
 Quickstart::
 

@@ -41,8 +41,8 @@ Subcommands::
         Stream a store back out as trace CSV, chunk by chunk.
 
     repro-trace store stats store-dir
-        The ``stats`` table, computed out-of-core with the streaming
-        summaries (one memory-mapped chunk resident at a time).
+        The ``stats`` table, computed out-of-core by the metric layer's
+        chunk fold (one memory-mapped chunk resident at a time).
 
     repro-trace store repair store-dir [--source trace.csv]
         Detect and undo store damage: quarantine torn/corrupt chunks,
@@ -166,17 +166,25 @@ def _stats_table(name: str, sizes, timing, completed: bool) -> str:
     return render_table(["Metric", "Value"], rows, title=f"Trace {name!r}")
 
 
+def _summarize(chunks, name: str):
+    """Table III/IV stats of a chunk stream, folded with O(1) float state."""
+    from repro.metrics import MetricSetState, summary_metrics
+
+    summary = MetricSetState(summary_metrics(), collapse=True)
+    for chunk in chunks:
+        summary.update(chunk)
+    values = summary.finalize(name)
+    completed = summary.states["timing_stats"].completed
+    return values["size_stats"], values["timing_stats"], completed
+
+
 def _cmd_stats(args) -> int:
     trace = read_trace(args.trace)
     if args.engine == "streaming":
-        from repro.streaming import StreamingTraceSummary, chunked
+        from repro.metrics import chunked
 
-        summary = StreamingTraceSummary(collapse=True)
-        for chunk in chunked(trace.columns(), 65536):
-            summary.update(chunk)
-        completed = summary.timing.completed
-        result = summary.finalize(trace.name)
-        sizes, timing = result.size, result.timing
+        chunks = chunked(trace.columns(), 65536)
+        sizes, timing, completed = _summarize(chunks, trace.name)
     else:
         sizes, timing = size_stats(trace), timing_stats(trace)
         completed = trace.completed
@@ -294,16 +302,13 @@ def _cmd_store_cat(args) -> int:
 
 def _cmd_store_stats(args) -> int:
     from repro.store import open_store
-    from repro.streaming import StreamingTraceSummary
 
     store = open_store(args.store)
-    summary = StreamingTraceSummary(collapse=True)
-    for chunk in store.iter_chunks(chunk_rows=args.chunk_rows):
-        summary.update(chunk)
-    completed = summary.timing.completed
-    result = summary.finalize(store.name)
+    sizes, timing, completed = _summarize(
+        store.iter_chunks(chunk_rows=args.chunk_rows), store.name
+    )
     print("[engine: streaming (out-of-core)]", file=sys.stderr)
-    print(_stats_table(store.name, result.size, result.timing, completed))
+    print(_stats_table(store.name, sizes, timing, completed))
     return 0
 
 

@@ -27,26 +27,18 @@ so nothing non-picklable crosses the process boundary.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-import random
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
+from repro.pool import WallPoint, process_pool
 
 from . import registry
 from .cache import CacheStats, NullCache, ResultCache
 from .common import ExperimentResult
 from .spec import COST_CLASSES, ExperimentSpec
-
-#: One wall measurement from a task: (label, started_s, ended_s, pid).
-#: Endpoints are ``time.perf_counter()`` seconds -- CLOCK_MONOTONIC on
-#: Linux, system-wide, so worker-process endpoints are directly
-#: comparable with the parent's run origin.
-WallPoint = Tuple[str, float, float, int]
 
 
 @dataclass
@@ -102,17 +94,6 @@ class RunSummary:
         }
 
 
-def _worker_init(seed: int) -> None:
-    """Deterministically seed the global RNGs in a fresh worker.
-
-    Experiments derive their randomness from explicit per-name streams, so
-    this is defense in depth: any stray use of the global generators
-    behaves identically no matter which worker runs which task.
-    """
-    random.seed(seed)
-    np.random.seed(seed % 2**32)
-
-
 def _run_whole(
     experiment_id: str, seed: int, num_requests: Optional[int]
 ) -> Tuple[ExperimentResult, float, WallPoint]:
@@ -132,12 +113,6 @@ def _run_shard(
     payload = spec.shards.worker(unit, seed, num_requests)
     ended = time.perf_counter()
     return unit, payload, ended - started, (unit, started, ended, os.getpid())
-
-
-def _pool_context():
-    """Prefer fork (fast, and our caches are fork-safe); fall back to spawn."""
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context("fork" if "fork" in methods else None)
 
 
 def _cost_rank(spec: ExperimentSpec) -> int:
@@ -345,12 +320,7 @@ def execute(
         pool: Optional[ProcessPoolExecutor] = None
         try:
             if jobs > 1:
-                pool = ProcessPoolExecutor(
-                    max_workers=jobs,
-                    mp_context=_pool_context(),
-                    initializer=_worker_init,
-                    initargs=(seed,),
-                )
+                pool = process_pool(jobs, seed)
             for wave in waves:
                 wave_started = time.perf_counter()
                 if pool is None:

@@ -28,38 +28,14 @@ import json
 import pstats
 import sys
 import time
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.workloads import DEFAULT_SEED
 
 from . import parallel
 from .cache import NullCache, ResultCache
-from .common import ExperimentResult
 from .registry import REGISTRY, select
 from .spec import ExperimentSpec
-
-#: Backwards-compatible view of the registry: id -> ``f(seed, n)``.
-EXPERIMENTS: Dict[str, Callable[..., ExperimentResult]] = {
-    experiment_id: spec.call for experiment_id, spec in REGISTRY.items()
-}
-
-
-def run_experiments(
-    ids: Optional[List[str]] = None,
-    seed: int = DEFAULT_SEED,
-    num_requests: Optional[int] = None,
-    jobs: int = 1,
-    cache: Optional[ResultCache] = None,
-) -> List[ExperimentResult]:
-    """Run the selected experiments (all, in paper order, by default).
-
-    ``jobs``/``cache`` expose the parallel engine; the defaults preserve
-    the historical serial, uncached behaviour.
-    """
-    summary = parallel.execute(
-        ids=ids, seed=seed, num_requests=num_requests, jobs=jobs, cache=cache
-    )
-    return summary.results
 
 
 def _jsonable(value):

@@ -32,6 +32,7 @@ from repro.emmc import DeviceConfig, EmmcDevice
 from repro.emmc.device import RecoveryReport
 from repro.emmc.stats import DeviceStats
 from repro.sim import SimInterrupt
+from repro.telemetry import Telemetry
 from repro.trace import Request, Trace
 
 from .plan import FaultPlan
@@ -72,7 +73,11 @@ def replay_with_faults(
     the device and no cut is armed.
     """
     device = EmmcDevice(config, faults=plan)
-    device.kernel.record_events = record_events
+    # The sink rides on the kernel only (no device spans), and survives
+    # the power cycle; ``mark`` is where the post-recovery events begin.
+    sink = Telemetry() if record_events else None
+    device.kernel.telemetry = sink
+    mark = 0
     requests = list(trace.without_timing())
     boxes: List[List[Request]] = []
     for request in requests:
@@ -92,6 +97,8 @@ def replay_with_faults(
         recovery = device.recover(
             at_us=device.kernel.now_us + plan.power_loss_recovery_us
         )
+        if sink is not None:
+            mark = len(sink.kernel_events)
         for index, request in enumerate(requests):
             if boxes[index]:
                 continue
@@ -115,7 +122,7 @@ def replay_with_faults(
         interrupted=interrupted,
         recovery=recovery,
         resubmitted=resubmitted,
-        events=list(device.kernel.event_trace) if record_events else [],
+        events=sink.kernel_events[mark:] if sink is not None else [],
     )
 
 

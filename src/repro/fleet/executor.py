@@ -14,10 +14,8 @@ memory:
   stats into mergeable :mod:`repro.metrics` states -- so a shard's
   footprint is its rows plus O(1) metric state, never the raw requests;
 * **the run** (:func:`run_fleet`) executes shards either inline
-  (``jobs=1``) or on a ``ProcessPoolExecutor`` (the
-  :mod:`repro.experiments.parallel` machinery), and the parent commits
-  shard payloads strictly in device-index order through a reorder
-  buffer.
+  (``jobs=1``) or on a :func:`repro.pool.process_pool`, and the parent
+  commits shard payloads strictly in device-index order.
 
 Determinism
 -----------
@@ -38,16 +36,15 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Tuple, Union
 
 from repro.emmc import EmmcDevice, collect_wear
 from repro.emmc.energy import energy_report
-from repro.experiments.parallel import WallPoint, _pool_context, _worker_init
 from repro.faults.replay import stats_digest
 from repro.metrics import get_metric
+from repro.pool import WallPoint, process_pool
 from repro.sim import Host
 from repro.trace import TraceColumns
 
@@ -182,7 +179,7 @@ def plan_shards(devices: int, shard_devices: int) -> List[Tuple[int, int]]:
 
 #: One shard's payload back to the parent: rows in index order, the
 #: shard's metric states keyed by registry name, and timing.
-_ShardPayload = Tuple[int, List[DeviceRow], Dict[str, Any], float, WallPoint]
+_ShardPayload = Tuple[List[DeviceRow], Dict[str, Any], float, WallPoint]
 
 
 def _run_shard(scenario: FleetScenario, start: int, stop: int) -> _ShardPayload:
@@ -199,7 +196,7 @@ def _run_shard(scenario: FleetScenario, start: int, stop: int) -> _ShardPayload:
             get_metric(name).update(states[name], result.columns)
     ended = time.perf_counter()
     label = f"devices[{start}:{stop}]"
-    return start, rows, states, ended - started, (label, started, ended, os.getpid())
+    return rows, states, ended - started, (label, started, ended, os.getpid())
 
 
 def _summary_as_json(summary: Dict[str, Any]) -> Dict[str, object]:
@@ -247,10 +244,10 @@ def run_fleet(
     """Run the whole fleet into a packed store at ``out_path``.
 
     ``jobs=1`` executes the shard plan inline; ``jobs>1`` fans it over a
-    process pool.  Either way the parent consumes shard payloads through
-    a reorder buffer keyed by shard start, so rows reach the store writer
-    -- and metric states merge -- strictly in device-index order, and the
-    resulting store is byte-identical for any ``jobs``.
+    process pool.  Either way the parent consumes shard payloads in
+    shard-start order, so rows reach the store writer -- and metric
+    states merge -- strictly in device-index order, and the resulting
+    store is byte-identical for any ``jobs``.
 
     ``wall_sink`` (optional :class:`repro.telemetry.Telemetry`) records
     the run's wall-clock shape: one ``fleet`` parent span plus one child
@@ -270,7 +267,7 @@ def run_fleet(
 
     def _commit(payload: _ShardPayload) -> None:
         nonlocal compute_s
-        _, rows, states, duration, wall = payload
+        rows, states, duration, wall = payload
         writer.append_rows(rows)
         for name in FLEET_REQUEST_METRICS:
             if name in merged:
@@ -284,31 +281,15 @@ def run_fleet(
         for start, stop in shards:
             _commit(_run_shard(scenario, start, stop))
     else:
-        pool = ProcessPoolExecutor(
-            max_workers=jobs,
-            mp_context=_pool_context(),
-            initializer=_worker_init,
-            initargs=(scenario.seed,),
-        )
+        pool = process_pool(jobs, scenario.seed)
         try:
-            futures = {
-                pool.submit(_run_shard, scenario, start, stop): start
-                for start, stop in shards
-            }
-            # Reorder buffer: payloads commit strictly in shard-start order
-            # no matter which worker finishes first.
-            ready: Dict[int, _ShardPayload] = {}
-            order = [start for start, _ in shards]
-            next_at = 0
-            pending = set(futures)
-            while pending:
-                finished, pending = wait(pending, return_when=FIRST_COMPLETED)
-                for future in finished:
-                    payload = future.result()
-                    ready[payload[0]] = payload
-                while next_at < len(order) and order[next_at] in ready:
-                    _commit(ready.pop(order[next_at]))
-                    next_at += 1
+            futures = [
+                pool.submit(_run_shard, scenario, start, stop) for start, stop in shards
+            ]
+            # Commit in shard-start order no matter which worker finishes
+            # first; later payloads wait in their futures.
+            for future in futures:
+                _commit(future.result())
         finally:
             pool.shutdown(wait=True)
 

@@ -8,11 +8,11 @@ vectorized ``batch`` kernel plus a mergeable streaming state whose
 contiguous shard split (see :mod:`repro.metrics.base` for the contract
 and :mod:`repro.metrics.reductions` for the float-fold machinery).
 
-:mod:`repro.analysis` (whole-trace convenience functions) and
-:mod:`repro.streaming` (chunked summaries) are thin adapters over this
-package; the registry (:mod:`repro.metrics.registry`) is the single
-namespace every engine -- the CLI, the out-of-core store path, the
-parallel experiment runner -- resolves metrics from.
+:mod:`repro.analysis` (whole-trace convenience functions) is a thin
+adapter over this package; the registry (:mod:`repro.metrics.registry`)
+is the single namespace every engine -- the CLI, the out-of-core store
+path, the parallel experiment runner -- resolves metrics from, and
+:mod:`repro.metrics.driver` folds any metric set over a chunk stream.
 """
 
 from .base import ENGINES, Metric, MetricState

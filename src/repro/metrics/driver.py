@@ -8,8 +8,8 @@ Everything downstream of the registry is one of three call shapes:
   bundling a metric set, for the sharded and out-of-core engines;
 * :func:`fold_chunks` -- the sequential out-of-core loop in one call.
 
-The streaming trace summary, the ``store stats`` path and the experiment
-shard workers are all thin wrappers over these.
+The ``stats``/``store stats`` CLI paths and the experiment shard
+workers are all thin wrappers over these.
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@
 
 One flat, ordered namespace.  Consumers address metrics by registry key
 -- the CLI (``repro-trace metrics list``, ``stats --engine``), the
-streaming summary driver, the experiment ShardPlans -- so adding a
+``MetricSetState`` driver, the experiment ShardPlans -- so adding a
 statistic is one :class:`~repro.metrics.base.Metric` subclass plus one
 :func:`register` call, and every engine picks it up.
 """

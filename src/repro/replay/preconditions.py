@@ -67,7 +67,7 @@ def decide(device, trace) -> FastPathDecision:
         # losing the span stream.
         reasons.append("telemetry sink attached (fast path records no spans)")
     kernel = device.kernel
-    if kernel.record_events:
+    if kernel.telemetry is not None:
         reasons.append("kernel records its event trace (fast path fires no events)")
     if kernel.pending_material():
         reasons.append("kernel holds pending material events (foreign producers)")

@@ -16,10 +16,8 @@ Two drain styles:
   power-down deadline after the last request must not fire.
 
 The loop records an optional event trace so tests can assert *identical
-event order* across runs and processes.  Recording goes through a
-:class:`repro.telemetry.Telemetry` sink (``kernel_events``); the old
-``record_events`` flag and ``event_trace`` list survive as a thin
-compatibility shim over an auto-created sink.
+event order* across runs and processes: attach a
+:class:`repro.telemetry.Telemetry` sink and read its ``kernel_events``.
 """
 
 from __future__ import annotations
@@ -58,7 +56,6 @@ class EventLoop:
     def __init__(
         self,
         start_us: float = 0.0,
-        record_events: bool = False,
         telemetry: Optional[Telemetry] = None,
     ) -> None:
         self.clock = SimClock(start_us)
@@ -71,68 +68,19 @@ class EventLoop:
         self.scheduled = 0
         self.cancellations = 0
         #: Telemetry sink; ``None`` = nothing recorded (the hot path takes
-        #: no recording branch).  ``record_events=True`` without an
-        #: explicit sink auto-creates a private one (the legacy shim).
+        #: no recording branch).
         self.telemetry = telemetry
-        self._auto_sink = False
-        if record_events and telemetry is None:
-            self.telemetry = Telemetry()
-            self._auto_sink = True
         #: Interrupt (power-loss) deadline: raise before firing event number
         #: ``_interrupt_before`` (0-based count of processed events).
         self._interrupt_before: Optional[int] = None
 
-    # -- event-trace recording (telemetry sink + compatibility shim) -------------
-
-    @property
-    def record_events(self) -> bool:
-        """Whether fired events are being recorded (a sink is attached)."""
-        return self.telemetry is not None
-
-    @record_events.setter
-    def record_events(self, value: bool) -> None:
-        """Legacy switch: toggle recording onto a private auto-sink.
-
-        Setting ``True`` attaches a fresh private sink if none is
-        present; setting ``False`` detaches only an auto-created sink --
-        an explicitly attached device/session sink is never silently
-        dropped by the legacy flag.
-        """
-        if value:
-            if self.telemetry is None:
-                self.telemetry = Telemetry()
-                self._auto_sink = True
-        elif self._auto_sink:
-            self.telemetry = None
-            self._auto_sink = False
-
-    @property
-    def event_trace(self) -> List[TracePoint]:
-        """Recorded kernel events (the attached sink's ``kernel_events``).
-
-        The live list, not a copy -- appends by ``_fire`` are visible to
-        holders.  Empty when no sink is attached.
-        """
-        if self.telemetry is None:
-            return []
-        return self.telemetry.kernel_events
-
-    #: Alias: the telemetry-era name for the same recorded-event list.
-    recorded_events = event_trace
-
     def successor(self, start_us: float) -> "EventLoop":
-        """A fresh loop continuing this one's recording policy.
+        """A fresh loop at ``start_us`` recording into the same sink.
 
-        Used by power-loss recovery: an explicitly attached sink (device
-        telemetry) survives the power cycle -- spans are replay-lifetime
-        state like ``DeviceStats`` -- while a legacy auto-sink is
-        replaced by an empty one, preserving the old semantics that
-        ``event_trace`` holds post-recovery events only.
+        Used by power-loss recovery: the sink (spans, kernel events) is
+        replay-lifetime state like ``DeviceStats`` and survives the power
+        cycle.
         """
-        if self.telemetry is None:
-            return EventLoop(start_us=start_us)
-        if self._auto_sink:
-            return EventLoop(start_us=start_us, record_events=True)
         return EventLoop(start_us=start_us, telemetry=self.telemetry)
 
     # -- introspection -----------------------------------------------------------

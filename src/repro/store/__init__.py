@@ -14,7 +14,8 @@ Write side: :func:`pack` (one-shot) and :class:`StoreWriter` (streaming
 the full trace).  Read side: :func:`open_store` returns a
 :class:`TraceStore` with lazy ``np.memmap`` chunk access, re-chunking
 iteration, pruned range/mask selection and a ``to_trace()`` escape
-hatch.  Pair with :mod:`repro.streaming` for out-of-core analysis.
+hatch.  Pair with :func:`repro.metrics.fold_chunks` for out-of-core
+analysis.
 
 The format itself -- chunk files, checksummed index, crash journal,
 durable manifest writes, memmap decode and verification -- is the

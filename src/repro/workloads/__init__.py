@@ -2,7 +2,7 @@
 
 from .addresses import AccessMode, AddressModel, AddressSampler
 from .arrivals import ArrivalModel
-from .buckets import (
+from repro.metrics.buckets import (
     INTERARRIVAL_BUCKETS_MS,
     RESPONSE_BUCKETS_MS,
     SIZE_BUCKETS,

@@ -2,7 +2,7 @@
 
 Each application gets one :class:`SizeModel` per access type.  A model is a
 histogram over the paper's six size buckets (see
-:mod:`repro.workloads.buckets`) plus a within-bucket spread parameter.  The
+:mod:`repro.metrics.buckets`) plus a within-bucket spread parameter.  The
 histogram shape is either given explicitly (Movie, Booting, ... have
 distinctive shapes called out in the paper) or built parametrically from
 
@@ -23,7 +23,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .buckets import SIZE_BUCKET_PAGES
+from repro.metrics.buckets import SIZE_BUCKET_PAGES
 
 #: Within-bucket spread used as the preferred operating point when solving
 #: the geometric decay ratio (see :func:`calibrate`).

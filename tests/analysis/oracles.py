@@ -22,7 +22,7 @@ from repro.analysis.percentiles import DEFAULT_PERCENTILES, _percentiles
 from repro.analysis.size_stats import SizeStats
 from repro.analysis.timing_stats import TimingStats
 from repro.trace import KIB, Op, Trace, US_PER_MS
-from repro.workloads.buckets import (
+from repro.metrics.buckets import (
     Bucket,
     INTERARRIVAL_BUCKETS_MS,
     RESPONSE_BUCKETS_MS,
@@ -30,7 +30,7 @@ from repro.workloads.buckets import (
 )
 
 
-# -- histogram binning (repro.workloads.buckets.histogram) --------------------
+# -- histogram binning (repro.metrics.buckets.histogram) ----------------------
 
 
 def _reference_histogram(

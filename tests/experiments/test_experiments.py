@@ -3,7 +3,7 @@
 import pytest
 
 from repro.workloads import COMBO_APPS, INDIVIDUAL_APPS
-from repro.experiments import runner
+from repro.experiments import parallel, registry
 from repro.experiments import fig3, fig4, fig6, fig7, fig8, fig9, table3, table4
 
 QUICK = 400  # requests per trace in quick mode
@@ -84,13 +84,13 @@ class TestRunner:
                     "table3", "table4", "characteristics", "implications",
                     "overhead", "slc_study", "lifetime", "sensitivity", "power_study", "sdcard_study",
                     "calibration", "ftl_study"}
-        assert set(runner.EXPERIMENTS) == expected
+        assert set(registry.REGISTRY) == expected
 
     def test_unknown_id_raises(self):
         with pytest.raises(KeyError):
-            runner.run_experiments(["nope"])
+            parallel.execute(["nope"])
 
     def test_run_selected(self):
-        results = runner.run_experiments(["fig4"], seed=SEED, num_requests=QUICK)
+        results = parallel.execute(["fig4"], seed=SEED, num_requests=QUICK).results
         assert results[0].experiment_id == "fig4"
         assert results[0].render().startswith("== fig4")

@@ -78,6 +78,20 @@ class TestEccRetries:
         assert list(a.trace) == list(b.trace)
 
 
+class TestRecordedEvents:
+    def test_power_loss_returns_post_recovery_events_only(self):
+        plan = FaultPlan(seed=7, read_error_rate=0.2, power_loss_at_event=20)
+        result = replay_with_faults(
+            small_four_ps(), _trace(), plan, record_events=True
+        )
+        assert result.interrupted
+        assert result.events
+        assert all(e[0] >= result.recovery.resumed_us for e in result.events)
+        # Only the re-armed requests arrive after the cut.
+        arrivals = [e for e in result.events if e[3] == EventKind.ARRIVAL.name]
+        assert len(arrivals) == result.resubmitted
+
+
 class TestInertPlan:
     def test_none_plan_is_structurally_dropped(self):
         device = EmmcDevice(small_four_ps(), faults=FaultPlan.none())

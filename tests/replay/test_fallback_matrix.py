@@ -39,7 +39,7 @@ def _faulted_device():
 
 
 def _recording_device():
-    return EmmcDevice(small_four_ps(), kernel=EventLoop(record_events=True))
+    return EmmcDevice(small_four_ps(), kernel=EventLoop(telemetry=Telemetry()))
 
 
 #: (label, device factory, substring the reason must contain).

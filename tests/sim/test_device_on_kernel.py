@@ -22,6 +22,7 @@ import pytest
 from repro.trace import KIB, Op, Request, Trace
 from repro.emmc import EmmcDevice, four_ps
 from repro.sim import EventLoop, Host, replay_trace
+from repro.telemetry import Telemetry
 
 #: LatencyParams defaults, spelled out so the arithmetic is visible.
 FTL_US = 65.0
@@ -174,11 +175,11 @@ def _replay_digest():
     from repro.workloads import generate_trace
 
     trace = generate_trace("Messaging", seed=11, num_requests=200)
-    device = EmmcDevice(four_ps(), kernel=EventLoop(record_events=True))
+    device = EmmcDevice(four_ps(), kernel=EventLoop(telemetry=Telemetry()))
     result = Host(device).replay(trace.without_timing())
     payload = json.dumps(
         {
-            "events": device.kernel.event_trace,
+            "events": device.kernel.telemetry.kernel_events,
             "timings": [
                 (r.arrival_us, r.service_start_us, r.finish_us)
                 for r in result.trace

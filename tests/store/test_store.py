@@ -19,7 +19,7 @@ from repro.store import (
     pack,
     read_manifest,
 )
-from repro.streaming import chunked
+from repro.metrics import chunked
 from repro.trace import Op, Request, Trace
 from repro.workloads import generate_trace
 

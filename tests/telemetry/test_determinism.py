@@ -27,12 +27,13 @@ SWEEP_REQUESTS = 80
 
 def battery_digest(ids=None, num_requests=120) -> str:
     """One digest over the structured data of the selected experiments."""
-    from repro.experiments import runner
+    from repro.experiments import parallel, runner
     from repro.experiments.cache import NullCache
+    from repro.workloads import DEFAULT_SEED
 
-    results = runner.run_experiments(
-        ids=ids, num_requests=num_requests, cache=NullCache()
-    )
+    results = parallel.execute(
+        ids=ids, seed=DEFAULT_SEED, num_requests=num_requests, cache=NullCache()
+    ).results
     blob = json.dumps(
         [(r.experiment_id, runner._jsonable(r.data)) for r in results],
         sort_keys=True,

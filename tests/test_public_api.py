@@ -1,6 +1,10 @@
 """Public API sanity: every exported name exists and is importable."""
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,7 +18,11 @@ PACKAGES = [
     "repro.emmc.ftl",
     "repro.analysis",
     "repro.store",
-    "repro.streaming",
+    "repro.metrics",
+    "repro.replay",
+    "repro.fleet",
+    "repro.telemetry",
+    "repro.faults",
     "repro.experiments",
 ]
 
@@ -46,3 +54,20 @@ def test_console_entry_points_importable():
 
     assert callable(trace_main)
     assert callable(experiments_main)
+
+
+def test_fleet_does_not_load_the_experiment_registry():
+    """``repro.fleet`` shares the process pool, not the experiment harness."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    script = (
+        "import sys; import repro.fleet; "
+        "print(sorted(m for m in sys.modules if m.startswith('repro.experiments')))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout.strip() == "[]"

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.trace import KIB
-from repro.workloads.buckets import (
+from repro.metrics.buckets import (
     Bucket,
     INTERARRIVAL_BUCKETS_MS,
     RESPONSE_BUCKETS_MS,
