@@ -5,65 +5,36 @@ summaries and the experiment shard workers through one registry of
 :class:`~repro.metrics.base.Metric` definitions.  Two earlier PRs
 promised floors that must survive the indirection:
 
-* the columnar-kernels PR: the vectorized batch battery is >=3x the
+* the columnar-kernels PR: the registry battery is >=3x the
   scalar request-loop oracles (now kept in ``tests/analysis/oracles.py``);
 * the trace-store PR: persisting + summarizing through the binary store
-  and the out-of-core engine is >=3x the CSV round trip + batch kernels.
+  and the out-of-core engine is >=3x the CSV round trip + in-memory fold.
 
-Both benchmarks run the registry paths -- ``batch_values`` over
-``all_metrics()`` and ``fold_chunks`` over ``summary_metrics()`` -- so a
-slow registry dispatch or a pessimized adapter shows up here, and both
-assert bit-identity before timing is even considered.
+Both benchmarks run the registry paths -- ``fold_chunks`` over
+``all_metrics()`` on one in-memory chunk and over ``summary_metrics()``
+on the store's chunks -- so a slow registry dispatch or a pessimized
+state shows up here, and both assert bit-identity before timing is even
+considered.
 """
 
 from __future__ import annotations
 
 import time
 
-from repro.metrics import all_metrics, batch_values, fold_chunks, summary_metrics
+from repro.metrics import all_metrics, fold_chunks, summary_metrics
 from repro.store import open_store, pack
-from repro.trace import Op, dumps, loads
+from repro.trace import dumps, loads
 from repro.workloads import generate_trace
 
 from conftest import BENCH_SEED, run_once
 from test_bench_analysis import _big_replayed_trace
-from tests.analysis.oracles import (
-    _reference_interarrival_distribution,
-    _reference_measure,
-    _reference_response_distribution,
-    _reference_size_distribution,
-    _reference_size_stats,
-    _reference_spatial_locality,
-    _reference_temporal_locality,
-    _reference_timing_stats,
-    _reference_trace_throughput_by_size,
-)
+from tests.analysis.oracles import oracle_values
 
 #: The inherited floors; in practice both land far above.
 _MIN_SPEEDUP = 3.0
 
 #: Requests in the store-path benchmark trace (matches the store bench).
 _STORE_REQUESTS = 150_000
-
-
-def _oracle_battery(trace):
-    """Every registered metric's value, via the scalar request loops."""
-    return {
-        "size_stats": _reference_size_stats(trace),
-        "timing_stats": _reference_timing_stats(trace),
-        "spatial_locality": _reference_spatial_locality(trace),
-        "temporal_locality": _reference_temporal_locality(trace),
-        "localities": _reference_measure(trace),
-        "size_distribution": _reference_size_distribution(trace),
-        "response_distribution": _reference_response_distribution(trace),
-        "interarrival_distribution": _reference_interarrival_distribution(trace),
-        "throughput_by_size_read": _reference_trace_throughput_by_size(
-            [trace], Op.READ
-        ),
-        "throughput_by_size_write": _reference_trace_throughput_by_size(
-            [trace], Op.WRITE
-        ),
-    }
 
 
 def test_registry_batch_battery_speedup_over_oracles(benchmark):
@@ -74,10 +45,10 @@ def test_registry_batch_battery_speedup_over_oracles(benchmark):
         # Charge the registry side the full struct-of-arrays build.
         trace.invalidate_columns()
         start = time.perf_counter()
-        registry = batch_values(metrics, trace.columns(), trace.name)
+        registry = fold_chunks(metrics, [trace.columns()], trace.name)
         registry_s = time.perf_counter() - start
         start = time.perf_counter()
-        oracle = _oracle_battery(trace)
+        oracle = oracle_values(trace, [metric.name for metric in metrics])
         oracle_s = time.perf_counter() - start
         return registry, oracle, registry_s, oracle_s
 
@@ -94,10 +65,10 @@ def test_registry_batch_battery_speedup_over_oracles(benchmark):
 
 
 def _csv_pipeline(trace, path):
-    """Persist to CSV, read it back, run the registry batch battery."""
+    """Persist to CSV, read it back, fold the registry over it in one chunk."""
     path.write_text(dumps(trace), newline="")
     restored = loads(path.read_text())
-    return batch_values(summary_metrics(), restored.columns(), restored.name)
+    return fold_chunks(summary_metrics(), [restored.columns()], restored.name)
 
 
 def _store_pipeline(trace, path):
@@ -126,7 +97,7 @@ def test_registry_fold_store_speedup_over_csv(benchmark, tmp_path):
     assert via_store == via_csv  # bit-identical, not merely close
     speedup = csv_s / store_s
     print(
-        f"\nstore+fold {store_s * 1000:.1f} ms vs csv+batch {csv_s * 1000:.1f} ms "
+        f"\nstore+fold {store_s * 1000:.1f} ms vs csv+fold {csv_s * 1000:.1f} ms "
         f"({speedup:.1f}x) on {len(trace)} requests"
     )
     assert speedup >= _MIN_SPEEDUP

@@ -4,7 +4,7 @@ Each figure is a per-application stacked histogram; here a distribution is
 a ``{bucket label: fraction}`` dict over the paper's bucket edges (see
 :mod:`repro.metrics.buckets`).
 
-Thin adapter: the three distribution kernels live in
+Thin adapter: the three distribution metrics are defined in
 :mod:`repro.metrics.histograms` (one definition, three engines); the
 derived shares (Characteristics 2 and 6) stay here as whole-trace
 conveniences.

@@ -1,6 +1,6 @@
 """Spatial and temporal locality, per the paper's definitions (Section III-C).
 
-Thin adapter: the kernels live in :mod:`repro.metrics.locality` (one
+Thin adapter: the metrics are defined in :mod:`repro.metrics.locality` (one
 definition, three engines); this module keeps the whole-trace
 convenience signatures the analysis layer has always offered.
 """

@@ -1,6 +1,6 @@
 """Size-related trace characterization (Table III).
 
-Thin adapter: the kernel lives in :mod:`repro.metrics.size` (one
+Thin adapter: the metric is defined in :mod:`repro.metrics.size` (one
 definition, three engines); this module keeps the whole-trace
 convenience signature the analysis layer has always offered.
 """

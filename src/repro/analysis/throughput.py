@@ -89,10 +89,10 @@ def trace_throughput_by_size(traces, op: Op) -> Dict[int, float]:
 
     For every request size found in replayed ``traces``, the average rate
     (size / response time) over all requests of that size and type, MB/s.
-    Thin adapter over the registered per-op metric in
-    :mod:`repro.metrics.throughput`.
+    Thin adapter: each trace's columns are folded, in order, through the
+    registered per-op metric in :mod:`repro.metrics.throughput`.
     """
     from repro.metrics.throughput import THROUGHPUT_BY_SIZE_READ, THROUGHPUT_BY_SIZE_WRITE
 
     metric = THROUGHPUT_BY_SIZE_WRITE if op is Op.WRITE else THROUGHPUT_BY_SIZE_READ
-    return metric.batch_traces([trace.columns() for trace in traces])
+    return metric.fold(trace.columns() for trace in traces)

@@ -1,6 +1,6 @@
 """Timing-related trace characterization (Table IV).
 
-Thin adapter: the kernel lives in :mod:`repro.metrics.timing` (one
+Thin adapter: the metric is defined in :mod:`repro.metrics.timing` (one
 definition, three engines); this module keeps the whole-trace
 convenience signature the analysis layer has always offered.
 """

@@ -19,11 +19,10 @@ Subcommands::
     repro-trace convert blkparse.txt -o trace.csv
         Convert Linux blkparse text output into the repro CSV format.
 
-    repro-trace stats trace.csv [--engine {batch,streaming}]
-        Print the Table III / Table IV style statistics of a trace file.
-        Both engines produce byte-identical tables (the metric-layer
-        contract); ``--engine streaming`` folds the trace chunk by chunk
-        through the same registry metrics the batch kernels use.
+    repro-trace stats trace.csv
+        Print the Table III / Table IV style statistics of a trace file,
+        folded through the registry's summary metrics (the same fold
+        ``store stats`` runs, byte-identical output).
 
     repro-trace metrics list
         Show the metric registry: one definition per statistic, with its
@@ -76,7 +75,7 @@ import sys
 from typing import List, Optional
 
 from repro.trace import parse_blkparse, read_trace, write_trace
-from repro.analysis import render_table, size_stats, timing_stats
+from repro.analysis import render_table
 from repro.workloads import ALL_TRACES, TABLE_III, TABLE_IV, collect, generate_trace
 
 
@@ -180,18 +179,10 @@ def _summarize(chunks, name: str):
 
 def _cmd_stats(args) -> int:
     trace = read_trace(args.trace)
-    if args.engine == "streaming":
-        from repro.metrics import chunked
-
-        chunks = chunked(trace.columns(), 65536)
-        sizes, timing, completed = _summarize(chunks, trace.name)
-    else:
-        sizes, timing = size_stats(trace), timing_stats(trace)
-        completed = trace.completed
-    # The table itself is byte-identical across engines (asserted in
-    # tests/test_cli.py); the engine note goes to stderr so it never
-    # perturbs stdout comparisons.
-    print(f"[engine: {args.engine}]", file=sys.stderr)
+    sizes, timing, completed = _summarize([trace.columns()], trace.name)
+    # The engine note goes to stderr so stdout stays byte-identical to
+    # ``store stats`` of the same trace (asserted in tests/test_cli.py).
+    print("[engine: streaming (in-memory)]", file=sys.stderr)
     print(_stats_table(trace.name, sizes, timing, completed))
     return 0
 
@@ -458,8 +449,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     stats = sub.add_parser("stats", help="print statistics of a trace CSV")
     stats.add_argument("trace")
-    stats.add_argument("--engine", choices=("batch", "streaming"), default="batch",
-                       help="execution engine; both print byte-identical tables")
     stats.set_defaults(fn=_cmd_stats)
 
     metrics = sub.add_parser("metrics", help="inspect the metric registry")

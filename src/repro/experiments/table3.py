@@ -5,8 +5,8 @@ The experiment shards into one unit per trace.  Each worker resolves the
 and folds its trace's columns chunk by chunk through the metric's
 sharded engine, shipping the state (a handful of integers) back instead
 of the trace.  ``merge`` finalizes the states in paper order; the
-registry contract guarantees the fold is bit-identical to the batch
-kernel, so sharded output matches the serial path byte for byte.
+registry contract guarantees the fold is bit-identical under any
+chunking, so sharded output matches the serial path byte for byte.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ registry (:mod:`repro.metrics.registry`) and folds the replayed trace
 chunk by chunk through the metric's out-of-core engine (O(1) float
 state), shipping the state back instead of the replayed requests.
 ``merge`` finalizes in paper order; the registry contract guarantees the
-fold is bit-identical to the batch kernel, so sharded output matches the
+fold is bit-identical under any chunking, so sharded output matches the
 serial path byte for byte.
 """
 

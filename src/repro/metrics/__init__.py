@@ -1,12 +1,13 @@
-"""Unified metric-kernel layer: one definition per statistic, three engines.
+"""Unified metric layer: one definition per statistic, three engines.
 
 Every statistic the paper reports -- the Table III/IV rows, the
 Figs. 4-6 histograms, the localities, the trace-derived Fig. 3 curve --
-is declared exactly once as a :class:`~repro.metrics.base.Metric`: a
-vectorized ``batch`` kernel plus a mergeable streaming state whose
-``finalize`` is bit-identical to ``batch`` under any chunking and any
-contiguous shard split (see :mod:`repro.metrics.base` for the contract
-and :mod:`repro.metrics.reductions` for the float-fold machinery).
+is written exactly once, as a mergeable streaming state, and declared
+as a :class:`~repro.metrics.base.Metric` over it.  The state's
+``finalize`` is the same bits under any chunking and any contiguous
+shard split, and ``batch`` is the one-chunk fold (see
+:mod:`repro.metrics.base` for the contract and
+:mod:`repro.metrics.reductions` for the float-fold machinery).
 
 :mod:`repro.analysis` (whole-trace convenience functions) is a thin
 adapter over this package; the registry (:mod:`repro.metrics.registry`)
@@ -15,30 +16,24 @@ path, the parallel experiment runner -- resolves metrics from, and
 :mod:`repro.metrics.driver` folds any metric set over a chunk stream.
 """
 
-from .base import ENGINES, Metric, MetricState
-from .driver import MetricSetState, batch_values, fold_chunks
+from .base import ENGINES, Metric
+from .buckets import HistogramState
+from .driver import MetricSetState, fold_chunks
 from .histograms import (
-    HistogramState,
     INTERARRIVAL_DISTRIBUTION,
-    InterarrivalDistributionMetric,
     InterarrivalHistogramState,
     RESPONSE_DISTRIBUTION,
-    ResponseDistributionMetric,
     ResponseHistogramState,
     SIZE_DISTRIBUTION,
-    SizeDistributionMetric,
     SizeHistogramState,
 )
 from .locality import (
     LOCALITIES,
     Localities,
-    LocalitiesMetric,
     LocalitiesState,
     SPATIAL_LOCALITY,
-    SpatialLocalityMetric,
     SpatialLocalityState,
     TEMPORAL_LOCALITY,
-    TemporalLocalityMetric,
     TemporalLocalityState,
 )
 from .reductions import OrderedSum, chunked
@@ -51,11 +46,10 @@ from .registry import (
     register,
     summary_metrics,
 )
-from .size import SIZE_STATS, SizeStats, SizeStatsMetric, SizeStatsState
+from .size import SIZE_STATS, SizeStats, SizeStatsState
 from .throughput import (
     THROUGHPUT_BY_SIZE_READ,
     THROUGHPUT_BY_SIZE_WRITE,
-    ThroughputBySizeMetric,
     ThroughputBySizeState,
 )
 from .timing import (
@@ -63,16 +57,13 @@ from .timing import (
     NoWaitState,
     TIMING_STATS,
     TimingStats,
-    TimingStatsMetric,
     TimingStatsState,
 )
 
 __all__ = [
     "ENGINES",
     "Metric",
-    "MetricState",
     "MetricSetState",
-    "batch_values",
     "fold_chunks",
     "OrderedSum",
     "chunked",
@@ -86,25 +77,20 @@ __all__ = [
     # size
     "SIZE_STATS",
     "SizeStats",
-    "SizeStatsMetric",
     "SizeStatsState",
     # timing
     "NO_WAIT_TOLERANCE_US",
     "NoWaitState",
     "TIMING_STATS",
     "TimingStats",
-    "TimingStatsMetric",
     "TimingStatsState",
     # locality
     "LOCALITIES",
     "Localities",
-    "LocalitiesMetric",
     "LocalitiesState",
     "SPATIAL_LOCALITY",
-    "SpatialLocalityMetric",
     "SpatialLocalityState",
     "TEMPORAL_LOCALITY",
-    "TemporalLocalityMetric",
     "TemporalLocalityState",
     # histograms
     "HistogramState",
@@ -112,14 +98,10 @@ __all__ = [
     "ResponseHistogramState",
     "InterarrivalHistogramState",
     "SIZE_DISTRIBUTION",
-    "SizeDistributionMetric",
     "RESPONSE_DISTRIBUTION",
-    "ResponseDistributionMetric",
     "INTERARRIVAL_DISTRIBUTION",
-    "InterarrivalDistributionMetric",
     # throughput
     "THROUGHPUT_BY_SIZE_READ",
     "THROUGHPUT_BY_SIZE_WRITE",
-    "ThroughputBySizeMetric",
     "ThroughputBySizeState",
 ]

@@ -1,11 +1,10 @@
-"""The :class:`Metric` abstraction: one statistic, three execution engines.
+"""The :class:`Metric` declaration: one statistic, three execution engines.
 
 A metric is declared **once** -- its name, the value it finalizes to,
-the cross-chunk carry state its streaming form needs -- and every way of
-executing it derives from that single definition:
+the mergeable streaming state that computes it, the cross-chunk carry
+state that state needs -- and every way of executing it derives from
+that single definition:
 
-* **batch**: ``metric.batch(columns)`` runs the vectorized whole-array
-  kernel over an in-memory :class:`~repro.trace.TraceColumns` view.
 * **sharded**: ``metric.init()`` (deferred float state) per shard,
   ``metric.update(state, chunk)`` in stream order within each shard,
   ``metric.merge(left, right)`` across adjacent shards in any tree
@@ -14,12 +13,19 @@ executing it derives from that single definition:
 * **out-of-core**: ``metric.fold(chunks)`` -- ``init(collapse=True)``
   plus a sequential ``update`` per memory-mapped chunk, O(1) float
   state.  This is ``repro-trace store stats``.
+* **batch**: ``metric.batch(columns)`` is the one-chunk fold over an
+  in-memory :class:`~repro.trace.TraceColumns` view.
 
-The exactness contract, enforced for every registered metric by
-``tests/metrics/test_registry_properties.py``: ``finalize(fold(chunks))
-== batch(concatenation of chunks)`` with ``==`` on floats -- the same
-bits, not approximately equal -- for *any* chunking and any contiguous
-shard split.  Integer state splits trivially; float folds go through
+A state class is the only place a statistic's arithmetic lives.  It is
+built as ``state(collapse=...)`` and has ``update(chunk)``,
+``merge(other)`` (absorb the stream segment that immediately follows)
+and ``finalize(name="")``.
+
+The exactness contract, enforced for every registered metric against a
+scalar request-loop oracle by ``tests/metrics/``: ``finalize(fold(chunks))``
+is the same value with ``==`` on floats -- the same bits, not
+approximately equal -- for *any* chunking and any contiguous shard
+split.  Integer state splits trivially; float folds go through
 :class:`~repro.metrics.reductions.OrderedSum`; everything the stream
 order feeds across a chunk boundary (previous arrival, previous
 ``end_lba``, the distinct-LBA set) is named in ``carry_fields`` and
@@ -28,8 +34,7 @@ carried explicitly by the state object.
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
-from typing import Any, Iterable, Tuple
+from typing import Any, Callable, Iterable, Tuple
 
 from repro.trace import TraceColumns
 
@@ -37,43 +42,34 @@ from repro.trace import TraceColumns
 ENGINES: Tuple[str, ...] = ("batch", "sharded", "out-of-core")
 
 
-class MetricState:
-    """Protocol of a streaming metric state (duck-typed, not enforced).
+class Metric:
+    """One statistic, declared by its mergeable streaming state.
 
-    ``update(chunk)`` folds the next :class:`~repro.trace.TraceColumns`
-    chunk in (stream order); ``merge(other)`` absorbs the state of the
-    stream segment that immediately follows this one.
+    ``state(collapse=False)`` builds a fresh state; ``update`` and
+    ``merge`` delegate to it, ``finalize`` asks it for the value, and
+    ``fold``/``batch`` are loops over those.
     """
 
-    __slots__ = ()
-
-
-class Metric(ABC):
-    """One statistic: a vectorized batch kernel plus its mergeable state.
-
-    Subclasses set the declarative attributes and implement
-    :meth:`batch`, :meth:`init` and :meth:`finalize`; ``update`` and
-    ``merge`` delegate to the state object, so one state class serves
-    both the sharded and the out-of-core engine.
-    """
-
-    #: Registry key, e.g. ``"size_stats"``.
-    name: str = ""
-    #: One-line description of the finalized value.
-    value_doc: str = ""
-    #: Names of the cross-chunk carry state (empty: order-insensitive
-    #: integer state that needs no boundary handling).
-    carry_fields: Tuple[str, ...] = ()
-    #: Execution engines the definition supports (all of them, today).
+    #: Execution engines the definition supports (all of them).
     engines: Tuple[str, ...] = ENGINES
 
-    # -- the one definition ---------------------------------------------------
+    def __init__(
+        self,
+        name: str,
+        value_doc: str,
+        state: Callable[..., Any],
+        carry_fields: Tuple[str, ...] = (),
+    ) -> None:
+        #: Registry key, e.g. ``"size_stats"``.
+        self.name = name
+        #: One-line description of the finalized value.
+        self.value_doc = value_doc
+        #: ``state(collapse=...)`` builds a fresh streaming state.
+        self.state = state
+        #: Names of the cross-chunk carry state (empty: order-insensitive
+        #: integer state that needs no boundary handling).
+        self.carry_fields = tuple(carry_fields)
 
-    @abstractmethod
-    def batch(self, columns: TraceColumns, name: str = "") -> Any:
-        """The vectorized whole-array kernel (the batch engine)."""
-
-    @abstractmethod
     def init(self, collapse: bool = False) -> Any:
         """A fresh streaming state.
 
@@ -82,12 +78,7 @@ class Metric(ABC):
         across contiguous shard splits (see
         :class:`~repro.metrics.reductions.OrderedSum`).
         """
-
-    @abstractmethod
-    def finalize(self, state: Any, name: str = "") -> Any:
-        """The exact value :meth:`batch` returns for the folded stream."""
-
-    # -- generic state plumbing (shared by every metric) ----------------------
+        return self.state(collapse=collapse)
 
     def update(self, state: Any, chunk: TraceColumns) -> Any:
         """Fold the next chunk (in stream order) into ``state``."""
@@ -100,7 +91,9 @@ class Metric(ABC):
         left.merge(right)
         return left
 
-    # -- the out-of-core engine ------------------------------------------------
+    def finalize(self, state: Any, name: str = "") -> Any:
+        """The metric's value for the folded stream."""
+        return state.finalize(name)
 
     def fold(
         self,
@@ -114,10 +107,17 @@ class Metric(ABC):
             self.update(state, chunk)
         return self.finalize(state, name)
 
-    def __deepcopy__(self, memo) -> "Metric":
-        """Metric definitions are stateless singletons: states deep-copy
-        (shard workers clone them freely), the definitions never do."""
-        return self
+    def batch(self, columns: TraceColumns, name: str = "") -> Any:
+        """The value over one in-memory column set: a one-chunk fold."""
+        return self.fold((columns,), name)
+
+    def __reduce__(self):
+        """Definitions are registry singletons: a pickled or deep-copied
+        state (shard workers clone and ship them freely) refers back to
+        the registered definition, so its states still merge."""
+        from .registry import get_metric
+
+        return get_metric, (self.name,)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Metric {self.name!r}>"

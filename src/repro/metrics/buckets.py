@@ -7,7 +7,9 @@ stacked percentage bars over these ranges; we reproduce the same binning.
 The buckets live in the metric layer (below :mod:`repro.workloads`, which
 re-exports them) because the distribution metrics in
 :mod:`repro.metrics.histograms` are defined over them and the metric
-layer depends only on :mod:`repro.trace`.
+layer depends only on :mod:`repro.trace`.  :class:`HistogramState` is the
+one binning loop: :func:`histogram` and every distribution metric fold
+through it.
 """
 
 from __future__ import annotations
@@ -87,29 +89,61 @@ INTERARRIVAL_BUCKETS_MS: Tuple[Bucket, ...] = _make_buckets(
 )
 
 
+class HistogramState:
+    """Mergeable bucket counts over an arbitrary value stream.
+
+    Feed raw values via :meth:`update_values`; the trace-facing
+    subclasses in :mod:`repro.metrics.histograms` extract the right
+    column per chunk.  Values are bulk-compared against each bucket's
+    edges (first matching bucket wins, exactly like the scalar reference
+    loop in ``tests/analysis/oracles.py``); counts are exact integers, so
+    chunking and merging cannot change a fraction.
+    """
+
+    __slots__ = ("buckets", "counts", "total")
+
+    def __init__(self, buckets: Sequence[Bucket]) -> None:
+        self.buckets = tuple(buckets)
+        self.counts = {bucket.label: 0 for bucket in self.buckets}
+        self.total = 0
+
+    def update_values(self, values: np.ndarray) -> None:
+        """Bin a batch of values (element-wise -- any order)."""
+        array = np.asarray(values, dtype=np.float64)
+        if array.size == 0:
+            return
+        self.total += int(array.size)
+        remaining = np.ones(array.shape, dtype=bool)
+        for bucket in self.buckets:
+            matched = remaining & (bucket.low < array) & (array <= bucket.high)
+            self.counts[bucket.label] += int(np.count_nonzero(matched))
+            remaining &= ~matched
+
+    def merge(self, other: "HistogramState") -> None:
+        """Absorb another summary over the same bucket set."""
+        if other.buckets != self.buckets:
+            raise ValueError("cannot merge histograms over different buckets")
+        for label, count in other.counts.items():
+            self.counts[label] += count
+        self.total += other.total
+
+    def finalize(self, name: str = "") -> Dict[str, float]:
+        """Per-bucket fractions (all zero when no value was seen)."""
+        if self.total == 0:
+            return {label: 0.0 for label in self.counts}
+        return {label: count / self.total for label, count in self.counts.items()}
+
+
 def histogram(values: Sequence[float], buckets: Sequence[Bucket]) -> Dict[str, float]:
     """Fraction of ``values`` falling in each bucket, keyed by label.
 
     Values outside every bucket (impossible for the standard bucket sets,
     which cover ``(0, inf]``) are ignored.  Returns all-zero fractions for an
     empty input.
-
-    Vectorized: values are bulk-compared against each bucket's edges
-    (first matching bucket wins, exactly like the scalar reference loop
-    in ``tests/analysis/oracles.py``); counts are exact integers, so the
-    resulting fractions are bit-identical to the per-value loop.
     """
-    total = len(values)
-    if total == 0:
-        return {bucket.label: 0.0 for bucket in buckets}
-    array = np.asarray(values, dtype=np.float64)
-    remaining = np.ones(array.shape, dtype=bool)
-    counts = {bucket.label: 0 for bucket in buckets}
-    for bucket in buckets:
-        matched = remaining & (bucket.low < array) & (array <= bucket.high)
-        counts[bucket.label] += int(np.count_nonzero(matched))
-        remaining &= ~matched
-    return {label: count / total for label, count in counts.items()}
+    state = HistogramState(buckets)
+    state.update_values(values)
+    return state.finalize()
 
 
 def size_histogram(sizes_bytes: Sequence[int]) -> Dict[str, float]:

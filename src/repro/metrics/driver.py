@@ -1,12 +1,13 @@
 """Generic execution drivers: fold any metric set with any engine.
 
-Everything downstream of the registry is one of three call shapes:
+Everything downstream of the registry that handles a metric *set* is one
+of two call shapes:
 
-* :func:`batch_values` -- run each metric's vectorized kernel over one
-  in-memory column set (the batch engine);
 * :class:`MetricSetState` -- one ``update``/``merge``/``finalize`` state
   bundling a metric set, for the sharded and out-of-core engines;
-* :func:`fold_chunks` -- the sequential out-of-core loop in one call.
+* :func:`fold_chunks` -- the sequential loop in one call;
+  ``fold_chunks(metrics, [columns], name)`` is the batch engine over
+  one in-memory column set.
 
 The ``stats``/``store stats`` CLI paths and the experiment shard
 workers are all thin wrappers over these.
@@ -19,13 +20,6 @@ from typing import Any, Dict, Iterable, Sequence
 from repro.trace import TraceColumns
 
 from .base import Metric
-
-
-def batch_values(
-    metrics: Sequence[Metric], columns: TraceColumns, name: str = ""
-) -> Dict[str, Any]:
-    """Each metric's batch-engine value, keyed by registry name."""
-    return {metric.name: metric.batch(columns, name) for metric in metrics}
 
 
 class MetricSetState:
@@ -55,7 +49,7 @@ class MetricSetState:
             metric.merge(self.states[metric.name], other.states[metric.name])
 
     def finalize(self, name: str = "") -> Dict[str, Any]:
-        """Each metric's exact batch-engine value, keyed by registry name."""
+        """Each metric's value for the folded stream, keyed by registry name."""
         return {
             metric.name: metric.finalize(self.states[metric.name], name)
             for metric in self.metrics

@@ -1,12 +1,11 @@
 """Bucketed-distribution metrics (Figs. 4/5/6/7, paper bucket edges).
 
-The batch kernels bin a whole value vector with
-:func:`repro.metrics.buckets.histogram` (first matching bucket wins)
-and divide integer counts by the total value count.  The streaming
-states keep exactly those integers per chunk -- bucket membership is an
-element-wise comparison, so chunking cannot change it -- and repeat the
-same final division, making ``finalize()`` bit-identical to the batch
-result on any chunking and any merge tree.
+Each state bins one column per chunk through the generic
+:class:`~repro.metrics.buckets.HistogramState` (first matching bucket
+wins) and divides integer counts by the total value count at the end.
+Bucket membership is an element-wise comparison, so chunking cannot
+change a count, and ``finalize()`` is the same on any chunking and any
+merge tree.
 
 Only the inter-arrival histogram carries boundary state: the gap that
 straddles two chunks (or two merged shards) is computed from the carried
@@ -15,61 +14,19 @@ straddles two chunks (or two merged shards) is computed from the carried
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from repro.trace import TraceColumns, US_PER_MS
 from repro.metrics.buckets import (
-    Bucket,
+    HistogramState,
     INTERARRIVAL_BUCKETS_MS,
     RESPONSE_BUCKETS_MS,
     SIZE_BUCKETS,
-    histogram,
 )
 
 from .base import Metric
-
-
-class HistogramState:
-    """Mergeable bucket counts over an arbitrary value stream.
-
-    The generic core: feed raw values via :meth:`update_values`; the
-    trace-facing subclasses below extract the right column per chunk.
-    """
-
-    __slots__ = ("buckets", "counts", "total")
-
-    def __init__(self, buckets: Sequence[Bucket]) -> None:
-        self.buckets = tuple(buckets)
-        self.counts = {bucket.label: 0 for bucket in self.buckets}
-        self.total = 0
-
-    def update_values(self, values: np.ndarray) -> None:
-        """Bin a batch of values (element-wise -- any order)."""
-        array = np.asarray(values, dtype=np.float64)
-        if array.size == 0:
-            return
-        self.total += int(array.size)
-        remaining = np.ones(array.shape, dtype=bool)
-        for bucket in self.buckets:
-            matched = remaining & (bucket.low < array) & (array <= bucket.high)
-            self.counts[bucket.label] += int(np.count_nonzero(matched))
-            remaining &= ~matched
-
-    def merge(self, other: "HistogramState") -> None:
-        """Absorb another summary over the same bucket set."""
-        if other.buckets != self.buckets:
-            raise ValueError("cannot merge histograms over different buckets")
-        for label, count in other.counts.items():
-            self.counts[label] += count
-        self.total += other.total
-
-    def finalize(self) -> Dict[str, float]:
-        """Per-bucket fractions, exactly like the batch ``histogram()``."""
-        if self.total == 0:
-            return {label: 0.0 for label in self.counts}
-        return {label: count / self.total for label, count in self.counts.items()}
 
 
 class SizeHistogramState(HistogramState):
@@ -77,7 +34,8 @@ class SizeHistogramState(HistogramState):
 
     __slots__ = ()
 
-    def __init__(self) -> None:
+    def __init__(self, collapse: bool = False) -> None:
+        del collapse  # integer counts: one state form serves every engine
         super().__init__(SIZE_BUCKETS)
 
     def update(self, chunk: TraceColumns) -> None:
@@ -89,7 +47,8 @@ class ResponseHistogramState(HistogramState):
 
     __slots__ = ()
 
-    def __init__(self) -> None:
+    def __init__(self, collapse: bool = False) -> None:
+        del collapse
         super().__init__(RESPONSE_BUCKETS_MS)
 
     def update(self, chunk: TraceColumns) -> None:
@@ -103,7 +62,8 @@ class InterarrivalHistogramState(HistogramState):
 
     __slots__ = ("first_arrival_us", "last_arrival_us", "requests")
 
-    def __init__(self) -> None:
+    def __init__(self, collapse: bool = False) -> None:
+        del collapse
         super().__init__(INTERARRIVAL_BUCKETS_MS)
         self.first_arrival_us: Optional[float] = None
         self.last_arrival_us: Optional[float] = None
@@ -145,72 +105,21 @@ class InterarrivalHistogramState(HistogramState):
         self.requests += other.requests
 
 
-class SizeDistributionMetric(Metric):
-    """Fig. 4 / 7a: request-size fractions over the paper's buckets."""
-
-    name = "size_distribution"
-    value_doc = "{bucket label: fraction} over SIZE_BUCKETS (Fig. 4/7a)"
-    carry_fields = ()  # element-wise binning: order-insensitive
-
-    def batch(self, columns: TraceColumns, name: str = "") -> Dict[str, float]:
-        del name
-        return histogram(columns.size, SIZE_BUCKETS)
-
-    def init(self, collapse: bool = False) -> SizeHistogramState:
-        del collapse  # integer counts: one state form serves both engines
-        return SizeHistogramState()
-
-    def finalize(self, state: SizeHistogramState, name: str = "") -> Dict[str, float]:
-        del name
-        return state.finalize()
-
-
-class ResponseDistributionMetric(Metric):
-    """Fig. 5 / 7b: response-time fractions of completed requests."""
-
-    name = "response_distribution"
-    value_doc = "{bucket label: fraction} over RESPONSE_BUCKETS_MS (Fig. 5/7b)"
-    carry_fields = ()
-
-    def batch(self, columns: TraceColumns, name: str = "") -> Dict[str, float]:
-        del name
-        values = columns.response_us[columns.completed_mask] / US_PER_MS
-        return histogram(values, RESPONSE_BUCKETS_MS)
-
-    def init(self, collapse: bool = False) -> ResponseHistogramState:
-        del collapse
-        return ResponseHistogramState()
-
-    def finalize(
-        self, state: ResponseHistogramState, name: str = ""
-    ) -> Dict[str, float]:
-        del name
-        return state.finalize()
-
-
-class InterarrivalDistributionMetric(Metric):
-    """Fig. 6 / 7c: inter-arrival-time fractions."""
-
-    name = "interarrival_distribution"
-    value_doc = "{bucket label: fraction} over INTERARRIVAL_BUCKETS_MS (Fig. 6/7c)"
-    carry_fields = ("first_arrival_us", "last_arrival_us")
-
-    def batch(self, columns: TraceColumns, name: str = "") -> Dict[str, float]:
-        del name
-        return histogram(columns.inter_arrival_us / US_PER_MS, INTERARRIVAL_BUCKETS_MS)
-
-    def init(self, collapse: bool = False) -> InterarrivalHistogramState:
-        del collapse
-        return InterarrivalHistogramState()
-
-    def finalize(
-        self, state: InterarrivalHistogramState, name: str = ""
-    ) -> Dict[str, float]:
-        del name
-        return state.finalize()
-
-
 #: The registered singletons (see :mod:`repro.metrics.registry`).
-SIZE_DISTRIBUTION = SizeDistributionMetric()
-RESPONSE_DISTRIBUTION = ResponseDistributionMetric()
-INTERARRIVAL_DISTRIBUTION = InterarrivalDistributionMetric()
+SIZE_DISTRIBUTION = Metric(
+    "size_distribution",
+    "{bucket label: fraction} over SIZE_BUCKETS (Fig. 4/7a)",
+    SizeHistogramState,
+    carry_fields=(),  # element-wise binning: order-insensitive
+)
+RESPONSE_DISTRIBUTION = Metric(
+    "response_distribution",
+    "{bucket label: fraction} over RESPONSE_BUCKETS_MS (Fig. 5/7b)",
+    ResponseHistogramState,
+)
+INTERARRIVAL_DISTRIBUTION = Metric(
+    "interarrival_distribution",
+    "{bucket label: fraction} over INTERARRIVAL_BUCKETS_MS (Fig. 6/7c)",
+    InterarrivalHistogramState,
+    carry_fields=("first_arrival_us", "last_arrival_us"),
+)

@@ -8,20 +8,21 @@
   number of requests, where the hit count "is increased by one when an
   address is re-accessed."
 
-Both are integer counts over the LBA column, so the batch kernels
-(shifted-array equality for spatial, ``np.unique`` for temporal) and the
-streaming states are exactly -- not approximately -- equal under any
-chunking and any merge tree.  The only subtlety is the carry state:
+Both are integer counts over the LBA column (a shifted-array equality
+for spatial, a distinct-address set for temporal), so the streaming
+states are exactly -- not approximately -- the same under any chunking
+and any merge tree.  The only subtlety is the carry state:
 
 * spatial locality compares each request's start address with its
   *predecessor's* end address, so the state carries the previous chunk's
   last ``end_lba`` (and its own first LBA, so that two mid-stream shards
   can account for the pair that straddles their boundary when merged);
-* temporal locality is ``hits = n - #distinct``, so the state carries
-  the sorted array of distinct LBAs seen so far (exactness requires the
-  full distinct set -- a recency window would undercount re-hits -- and
-  distinct addresses are a small fraction of requests for the paper's
-  workloads).
+* temporal locality is ``hits = n - #distinct`` (the first occurrence
+  of each distinct address is a miss, every re-occurrence a hit), so the
+  state carries the sorted array of distinct LBAs seen so far (exactness
+  requires the full distinct set -- a recency window would undercount
+  re-hits -- and distinct addresses are a small fraction of requests for
+  the paper's workloads).
 """
 
 from __future__ import annotations
@@ -59,7 +60,8 @@ class SpatialLocalityState:
 
     __slots__ = ("total", "sequential", "first_lba", "last_end_lba")
 
-    def __init__(self) -> None:
+    def __init__(self, collapse: bool = False) -> None:
+        del collapse  # integer counts: one state form serves every engine
         self.total = 0
         self.sequential = 0
         self.first_lba: Optional[int] = None
@@ -92,8 +94,8 @@ class SpatialLocalityState:
         self.last_end_lba = other.last_end_lba
         self.total += other.total
 
-    def finalize(self) -> float:
-        """Fraction of sequential accesses, same division as the batch engine."""
+    def finalize(self, name: str = "") -> float:
+        """Fraction of sequential accesses (a plain fraction: no ``name``)."""
         if self.total == 0:
             return 0.0
         return self.sequential / self.total
@@ -104,7 +106,8 @@ class TemporalLocalityState:
 
     __slots__ = ("total", "_distinct")
 
-    def __init__(self) -> None:
+    def __init__(self, collapse: bool = False) -> None:
+        del collapse
         self.total = 0
         self._distinct = np.empty(0, dtype=np.int64)
 
@@ -126,8 +129,8 @@ class TemporalLocalityState:
         """Number of distinct start addresses seen."""
         return int(self._distinct.size)
 
-    def finalize(self) -> float:
-        """Fraction of re-hits ``(n - #distinct) / n``, like the batch engine."""
+    def finalize(self, name: str = "") -> float:
+        """Fraction of re-hits ``(n - #distinct) / n``."""
         if self.total == 0:
             return 0.0
         return (self.total - self.distinct) / self.total
@@ -138,7 +141,8 @@ class LocalitiesState:
 
     __slots__ = ("spatial", "temporal")
 
-    def __init__(self) -> None:
+    def __init__(self, collapse: bool = False) -> None:
+        del collapse
         self.spatial = SpatialLocalityState()
         self.temporal = TemporalLocalityState()
 
@@ -150,91 +154,29 @@ class LocalitiesState:
         self.spatial.merge(other.spatial)
         self.temporal.merge(other.temporal)
 
-    def finalize(self) -> Localities:
-        """The exact :class:`Localities` object the batch engine returns."""
+    def finalize(self, name: str = "") -> Localities:
+        """Both fractions in one :class:`Localities` object."""
         return Localities(
             spatial=self.spatial.finalize(), temporal=self.temporal.finalize()
         )
 
 
-class SpatialLocalityMetric(Metric):
-    """Fraction of requests starting exactly at their predecessor's end."""
-
-    name = "spatial_locality"
-    value_doc = "float fraction of sequential accesses (Table IV SpatLoc)"
-    carry_fields = ("first_lba", "last_end_lba")
-
-    def batch(self, columns: TraceColumns, name: str = "") -> float:
-        del name  # a plain fraction carries no trace name
-        total = len(columns)
-        if total == 0:
-            return 0.0
-        lba, size = columns.lba, columns.size
-        sequential = int(np.count_nonzero(lba[1:] == lba[:-1] + size[:-1]))
-        return sequential / total
-
-    def init(self, collapse: bool = False) -> SpatialLocalityState:
-        del collapse  # integer counts: one state form serves both engines
-        return SpatialLocalityState()
-
-    def finalize(self, state: SpatialLocalityState, name: str = "") -> float:
-        del name
-        return state.finalize()
-
-
-class TemporalLocalityMetric(Metric):
-    """Fraction of requests whose start address was accessed before.
-
-    The first occurrence of each distinct address is a miss and every
-    re-occurrence a hit, so ``hits = n - #distinct`` -- one ``np.unique``
-    instead of a per-request set walk.
-    """
-
-    name = "temporal_locality"
-    value_doc = "float fraction of address re-hits (Table IV TempLoc)"
-    carry_fields = ("distinct_lbas",)
-
-    def batch(self, columns: TraceColumns, name: str = "") -> float:
-        del name
-        total = len(columns)
-        if total == 0:
-            return 0.0
-        hits = total - int(np.unique(columns.lba).size)
-        return hits / total
-
-    def init(self, collapse: bool = False) -> TemporalLocalityState:
-        del collapse
-        return TemporalLocalityState()
-
-    def finalize(self, state: TemporalLocalityState, name: str = "") -> float:
-        del name
-        return state.finalize()
-
-
-class LocalitiesMetric(Metric):
-    """Both localities in one pass-friendly metric."""
-
-    name = "localities"
-    value_doc = "Localities(spatial, temporal) fractions in one object"
-    carry_fields = ("first_lba", "last_end_lba", "distinct_lbas")
-
-    def batch(self, columns: TraceColumns, name: str = "") -> Localities:
-        del name
-        return Localities(
-            spatial=SPATIAL_LOCALITY.batch(columns),
-            temporal=TEMPORAL_LOCALITY.batch(columns),
-        )
-
-    def init(self, collapse: bool = False) -> LocalitiesState:
-        del collapse
-        return LocalitiesState()
-
-    def finalize(self, state: LocalitiesState, name: str = "") -> Localities:
-        del name
-        return state.finalize()
-
-
 #: The registered singletons (see :mod:`repro.metrics.registry`).
-SPATIAL_LOCALITY = SpatialLocalityMetric()
-TEMPORAL_LOCALITY = TemporalLocalityMetric()
-LOCALITIES = LocalitiesMetric()
+SPATIAL_LOCALITY = Metric(
+    "spatial_locality",
+    "float fraction of sequential accesses (Table IV SpatLoc)",
+    SpatialLocalityState,
+    carry_fields=("first_lba", "last_end_lba"),
+)
+TEMPORAL_LOCALITY = Metric(
+    "temporal_locality",
+    "float fraction of address re-hits (Table IV TempLoc)",
+    TemporalLocalityState,
+    carry_fields=("distinct_lbas",),
+)
+LOCALITIES = Metric(
+    "localities",
+    "Localities(spatial, temporal) fractions in one object",
+    LocalitiesState,
+    carry_fields=("first_lba", "last_end_lba", "distinct_lbas"),
+)

@@ -1,8 +1,9 @@
-"""Order-preserving float reduction state for the metric kernels.
+"""Order-preserving float reduction state for the metric states.
 
-Bit-identity is the whole game.  The batch kernels reduce float arrays
-with :func:`~repro.trace.sequential_sum` -- a strict left-to-right fold
--- and the experiment digests pin those last-ulp roundings.  A streaming
+Bit-identity is the whole game.  A metric's float means are the
+:func:`~repro.trace.sequential_sum` of the whole stream -- a strict
+left-to-right fold -- and the experiment digests pin those last-ulp
+roundings.  A streaming
 metric state must finalize to *exactly* the same bits no matter how the
 request stream was chunked or sharded, which float addition makes
 non-trivial: an already-rounded partial sum of a *mid-stream* segment

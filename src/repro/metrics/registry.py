@@ -1,10 +1,12 @@
 """The metric registry: every statistic the repro reports, by name.
 
 One flat, ordered namespace.  Consumers address metrics by registry key
--- the CLI (``repro-trace metrics list``, ``stats --engine``), the
-``MetricSetState`` driver, the experiment ShardPlans -- so adding a
-statistic is one :class:`~repro.metrics.base.Metric` subclass plus one
-:func:`register` call, and every engine picks it up.
+-- the CLI (``repro-trace metrics list``, ``stats``), the
+``MetricSetState`` driver, the experiment ShardPlans, the fleet executor
+-- so adding a statistic is one state class, one
+:class:`~repro.metrics.base.Metric` declaration and one :func:`register`
+call, and every engine picks it up.  Pickled and deep-copied definitions
+resolve back to the registered singleton through :func:`get_metric`.
 """
 
 from __future__ import annotations

@@ -1,12 +1,14 @@
 """Per-size average access rate metric (the trace-derived Fig. 3).
 
-The batch kernel concatenates the eligible requests' sizes and ``size /
-response`` rates in stream order and reduces each size class with
-:func:`~repro.trace.sequential_sum`.  The streaming state keeps one
+For every request size, the mean ``size / response`` rate of the
+eligible (completed, positive-response) requests of one operation type.
+The streaming state keeps one
 :class:`~repro.metrics.reductions.OrderedSum` per size class; because
 chunking preserves stream order and each class's values land in its sum
-in that same order, ``finalize()`` reproduces the batch per-size means
-bit for bit.
+in that same order, ``finalize()`` is each class's left-to-right
+:func:`~repro.trace.sequential_sum` mean, bit for bit, under any
+chunking.  Folding several traces' columns in order pools them (the
+paper pools all 18 traces).
 
 The device-side Fig. 3 measurement (sweeping synthetic back-to-back
 requests on an :class:`~repro.emmc.device.EmmcDevice`) is *not* a trace
@@ -15,11 +17,12 @@ metric and stays in :mod:`repro.analysis.throughput`.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from functools import partial
+from typing import Dict
 
 import numpy as np
 
-from repro.trace import Op, OP_WRITE, TraceColumns, sequential_sum
+from repro.trace import Op, OP_WRITE, TraceColumns
 
 from .base import Metric
 from .reductions import OrderedSum
@@ -47,8 +50,7 @@ class ThroughputBySizeState:
             return
         response = chunk.response_us
         # NaN response times (incomplete requests) are excluded by the
-        # completed mask; silence the comparison warning like the batch
-        # kernel does.
+        # completed mask; silence their comparison warning.
         with np.errstate(invalid="ignore"):
             eligible = (
                 (chunk.op == self.op_code) & chunk.completed_mask & (response > 0)
@@ -74,72 +76,23 @@ class ThroughputBySizeState:
                 self._sums[key] = mine = OrderedSum(collapse=self.collapse)
             mine.merge(ordered)
 
-    def finalize(self) -> Dict[int, float]:
-        """Per-size mean rates (MB/s), exactly like the batch kernel."""
+    def finalize(self, name: str = "") -> Dict[int, float]:
+        """Per-size mean rates (MB/s), keyed by size in bytes, ascending."""
         return {
             size: self._sums[size].total() / self._sums[size].count
             for size in sorted(self._sums)
         }
 
 
-class ThroughputBySizeMetric(Metric):
-    """Average access rate per request size for one operation type.
+_THROUGHPUT_DOC = "{size bytes: mean MB/s} of completed requests (Fig. 3, trace-derived)"
 
-    Two registered instances exist -- one per ``Op`` -- because a metric
-    definition is a closed statistic: registry consumers must be able to
-    run it without passing extra parameters.
-    """
-
-    value_doc = "{size bytes: mean MB/s} of completed requests (Fig. 3, trace-derived)"
-    carry_fields = ()  # per-size OrderedSums carry stream order internally
-
-    def __init__(self, op: Op) -> None:
-        self.op = op
-        suffix = "write" if op is Op.WRITE else "read"
-        self.name = f"throughput_by_size_{suffix}"
-
-    def batch(self, columns: TraceColumns, name: str = "") -> Dict[int, float]:
-        del name
-        return self.batch_traces([columns])
-
-    def batch_traces(self, columns_list) -> Dict[int, float]:
-        """The multi-stream batch kernel (the paper pools all 18 traces).
-
-        Sizes/rates of the eligible requests are concatenated in stream
-        order, then each size class is reduced with an in-order
-        :func:`~repro.trace.sequential_sum` -- exactly the accumulation
-        order the scalar reference dict loop performs, so the per-size
-        means are bit-identical.
-        """
-        op_code = OP_WRITE if self.op is Op.WRITE else 0
-        size_chunks: List[np.ndarray] = []
-        rate_chunks: List[np.ndarray] = []
-        for columns in columns_list:
-            response = columns.response_us
-            with np.errstate(invalid="ignore"):
-                eligible = (
-                    (columns.op == op_code) & columns.completed_mask & (response > 0)
-                )
-            size_chunks.append(columns.size[eligible])
-            rate_chunks.append(columns.size[eligible] / response[eligible])
-        if not size_chunks:
-            return {}
-        sizes = np.concatenate(size_chunks)
-        rates = np.concatenate(rate_chunks)
-        result: Dict[int, float] = {}
-        for size in np.unique(sizes):
-            group = rates[sizes == size]
-            result[int(size)] = sequential_sum(group) / int(group.size)
-        return result
-
-    def init(self, collapse: bool = False) -> ThroughputBySizeState:
-        return ThroughputBySizeState(self.op, collapse=collapse)
-
-    def finalize(self, state: ThroughputBySizeState, name: str = "") -> Dict[int, float]:
-        del name
-        return state.finalize()
-
-
-#: The registered singletons (see :mod:`repro.metrics.registry`).
-THROUGHPUT_BY_SIZE_READ = ThroughputBySizeMetric(Op.READ)
-THROUGHPUT_BY_SIZE_WRITE = ThroughputBySizeMetric(Op.WRITE)
+#: The registered singletons (see :mod:`repro.metrics.registry`): one per
+#: ``Op``, because a metric definition is a closed statistic -- registry
+#: consumers must be able to run it without passing extra parameters.
+#: The per-size OrderedSums carry stream order internally.
+THROUGHPUT_BY_SIZE_READ = Metric(
+    "throughput_by_size_read", _THROUGHPUT_DOC, partial(ThroughputBySizeState, Op.READ)
+)
+THROUGHPUT_BY_SIZE_WRITE = Metric(
+    "throughput_by_size_write", _THROUGHPUT_DOC, partial(ThroughputBySizeState, Op.WRITE)
+)

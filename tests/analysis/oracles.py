@@ -12,7 +12,7 @@ Kept in ``tests/`` only: production code must never import an oracle.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence, Set
+from typing import Callable, Dict, Sequence, Set
 
 import numpy as np
 
@@ -28,6 +28,18 @@ from repro.metrics.buckets import (
     RESPONSE_BUCKETS_MS,
     SIZE_BUCKETS,
 )
+
+
+def _left_sum(values) -> float:
+    """Strict left-to-right float sum, one ``+`` per value.
+
+    Builtin ``sum`` is this fold up to Python 3.11 but compensates its
+    rounding from 3.12 on, so the oracles spell the loop out.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 # -- histogram binning (repro.metrics.buckets.histogram) ----------------------
@@ -119,11 +131,15 @@ def _reference_timing_stats(trace: Trace) -> TimingStats:
     completed = [request for request in trace if request.completed]
     arrivals = [r.arrival_us for r in trace.requests]
     gaps = [b - a for a, b in zip(arrivals, arrivals[1:])]
-    mean_gap_ms = (sum(gaps) / len(gaps) / US_PER_MS) if gaps else 0.0
+    mean_gap_ms = (_left_sum(gaps) / len(gaps) / US_PER_MS) if gaps else 0.0
     if completed:
         nowait_pct = 100.0 * sum(1 for r in completed if r.no_wait) / len(completed)
-        mean_service_ms = sum(r.service_us for r in completed) / len(completed) / US_PER_MS
-        mean_response_ms = sum(r.response_us for r in completed) / len(completed) / US_PER_MS
+        mean_service_ms = (
+            _left_sum(r.service_us for r in completed) / len(completed) / US_PER_MS
+        )
+        mean_response_ms = (
+            _left_sum(r.response_us for r in completed) / len(completed) / US_PER_MS
+        )
     else:
         nowait_pct = mean_service_ms = mean_response_ms = 0.0
     return TimingStats(
@@ -245,3 +261,32 @@ def _reference_size_response_correlation(
     return SizeResponseCorrelation(
         name=trace.name, spearman=spearman, pearson=pearson, samples=len(completed)
     )
+
+
+# -- the registry map ------------------------------------------------------------
+
+
+#: Registry name -> scalar request-loop oracle of that metric, each taking
+#: one trace.  The metric suites compare every engine against this map, so
+#: a new registered metric needs an oracle here too.
+ORACLES: Dict[str, Callable[[Trace], object]] = {
+    "size_stats": _reference_size_stats,
+    "timing_stats": _reference_timing_stats,
+    "spatial_locality": _reference_spatial_locality,
+    "temporal_locality": _reference_temporal_locality,
+    "localities": _reference_measure,
+    "size_distribution": _reference_size_distribution,
+    "response_distribution": _reference_response_distribution,
+    "interarrival_distribution": _reference_interarrival_distribution,
+    "throughput_by_size_read": lambda trace: _reference_trace_throughput_by_size(
+        [trace], Op.READ
+    ),
+    "throughput_by_size_write": lambda trace: _reference_trace_throughput_by_size(
+        [trace], Op.WRITE
+    ),
+}
+
+
+def oracle_values(trace: Trace, names) -> Dict[str, object]:
+    """The oracle value of each named metric on ``trace``, keyed by name."""
+    return {name: ORACLES[name](trace) for name in names}

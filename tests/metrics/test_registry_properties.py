@@ -3,24 +3,28 @@
 For **every** registered metric (the suite quantifies over the registry,
 so a newly added metric is covered the moment it registers), hypothesis
 draws arbitrary contiguous partitions of one replayed trace's stream and
-requires -- with ``==`` on floats, never approx:
+requires -- with ``==`` on floats, never approx -- agreement with the
+metric's scalar request-loop oracle (``tests/analysis/oracles.py``):
 
-* out-of-core: ``finalize(fold(chunks)) == batch(whole stream)`` for any
-  chunking;
+* out-of-core: ``finalize(fold(chunks)) == oracle(whole stream)`` for
+  any chunking;
 * sharded: any contiguous shard split, merged left to right, reproduces
-  the batch bits;
+  the oracle bits;
 * merge associativity: a pairwise merge tree over the shards equals the
   sequential left fold, bit for bit -- which is what licenses the
   parallel experiment runner's arbitrary merge order.
 """
 
 import copy
+import pickle
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.metrics import MetricSetState, all_metrics, batch_values, get_metric
+from repro.metrics import MetricSetState, all_metrics, get_metric
 from repro.workloads.collection import collect
+
+from tests.analysis.oracles import oracle_values
 
 #: One completed (replayed) trace shared by every example: collection is
 #: the expensive part, and the properties quantify over chunkings and
@@ -30,7 +34,7 @@ _TRACE = collect("Email", seed=5, num_requests=150).trace
 _COLUMNS = _TRACE.columns()
 _N = len(_COLUMNS)
 _METRICS = tuple(all_metrics())
-_BATCH = batch_values(_METRICS, _COLUMNS, _TRACE.name)
+_ORACLE = oracle_values(_TRACE, [metric.name for metric in _METRICS])
 
 
 #: Interior cut points 0 < c < N, drawn without replacement; with the
@@ -48,26 +52,26 @@ def _segments(cuts):
     return [_COLUMNS.select(slice(a, b)) for a, b in zip(bounds, bounds[1:])]
 
 
-def _assert_batch_bits(values) -> None:
+def _assert_oracle_bits(values) -> None:
     for metric in _METRICS:
-        assert values[metric.name] == _BATCH[metric.name], metric.name
+        assert values[metric.name] == _ORACLE[metric.name], metric.name
 
 
 @given(cuts=cuts_strategy)
 @settings(max_examples=40, deadline=None)
 def test_fold_of_any_chunking_equals_batch(cuts):
-    """Out-of-core engine: finalize(fold(chunks)) == batch(whole trace)."""
+    """Out-of-core engine: finalize(fold(chunks)) == oracle(whole trace)."""
     values = {
         metric.name: metric.fold(_segments(cuts), _TRACE.name, collapse=True)
         for metric in _METRICS
     }
-    _assert_batch_bits(values)
+    _assert_oracle_bits(values)
 
 
 @given(cuts=cuts_strategy)
 @settings(max_examples=40, deadline=None)
 def test_any_shard_split_merges_to_batch_bits(cuts):
-    """Sharded engine: independent shard states merge to the batch bits."""
+    """Sharded engine: independent shard states merge to the oracle bits."""
     shards = []
     for segment in _segments(cuts):
         shard = MetricSetState(_METRICS)
@@ -76,7 +80,7 @@ def test_any_shard_split_merges_to_batch_bits(cuts):
     merged = shards[0]
     for shard in shards[1:]:
         merged.merge(shard)
-    _assert_batch_bits(merged.finalize(_TRACE.name))
+    _assert_oracle_bits(merged.finalize(_TRACE.name))
 
 
 @given(cuts=cuts_strategy)
@@ -108,7 +112,7 @@ def test_merge_tree_order_invariance(cuts):
     b = tree.finalize(_TRACE.name)
     for metric in _METRICS:
         assert a[metric.name] == b[metric.name], metric.name
-    _assert_batch_bits(b)
+    _assert_oracle_bits(b)
 
 
 @given(
@@ -130,7 +134,31 @@ def test_rechunked_shards_compose(cuts, chunk_rows):
             merged = shard
         else:
             merged.merge(shard)
-    _assert_batch_bits(merged.finalize(_TRACE.name))
+    _assert_oracle_bits(merged.finalize(_TRACE.name))
+
+
+def test_pickled_shard_states_still_merge():
+    """Shard states cross process boundaries by pickle; their metrics
+    unpickle to the registry singletons, so the states still merge."""
+    split = _N // 2
+    shards = []
+    for segment in (_COLUMNS.select(slice(0, split)), _COLUMNS.select(slice(split, _N))):
+        shard = MetricSetState(_METRICS)
+        shard.update(segment)
+        shards.append(shard)
+    unpickled = [pickle.loads(pickle.dumps(shard)) for shard in shards]
+    unpickled[0].merge(unpickled[1])
+    assert unpickled[0].metrics == _METRICS
+    shards[0].merge(shards[1])
+    assert unpickled[0].finalize(_TRACE.name) == shards[0].finalize(_TRACE.name)
+    _assert_oracle_bits(unpickled[0].finalize(_TRACE.name))
+
+
+def test_metric_definitions_copy_to_themselves():
+    """Deep copies and pickles of a state share the registered definitions."""
+    for metric in _METRICS:
+        assert copy.deepcopy(metric) is metric
+        assert pickle.loads(pickle.dumps(metric)) is metric
 
 
 def test_registry_lookup_and_order():
@@ -153,26 +181,14 @@ def test_unknown_metric_raises_with_listing():
 def test_register_rejects_duplicates_and_unnamed():
     import pytest
 
+    from repro.metrics import SizeStatsState
     from repro.metrics.base import Metric
     from repro.metrics.registry import register
 
-    class Fake(Metric):
-        name = "size_stats"  # collides
-
-        def batch(self, columns, name=""):  # pragma: no cover
-            return None
-
-        def init(self, collapse=False):  # pragma: no cover
-            return None
-
-        def finalize(self, state, name=""):  # pragma: no cover
-            return None
-
     with pytest.raises(ValueError, match="already registered"):
-        register(Fake())
-    Fake.name = ""
+        register(Metric("size_stats", "collides", SizeStatsState))
     with pytest.raises(ValueError, match="no name"):
-        register(Fake())
+        register(Metric("", "unnamed", SizeStatsState))
     # Re-registering the same object is idempotent.
     existing = get_metric("timing_stats")
     assert register(existing) is existing

@@ -1,11 +1,12 @@
-"""Property-based hardening of the summary-set-vs-batch bit-identity contract.
+"""Property-based hardening of the summary-set-vs-oracle bit-identity contract.
 
 ``test_summary_equality`` checks hand-picked chunkings and shard
 splits of ``MetricSetState(summary_metrics())``; here hypothesis draws *arbitrary* ones.  The invariants under
 test (all with ``==`` on floats, never approx):
 
-* any partition of the stream into chunks folds to the exact batch bits;
-* any contiguous shard split merges to the exact batch bits;
+* any partition of the stream into chunks folds to the exact bits of
+  the request-loop oracles (``tests/analysis/oracles.py``);
+* any contiguous shard split merges to the exact oracle bits;
 * merge is associative: a pairwise merge tree over the shards produces
   the same bits as the sequential left fold.
 """
@@ -15,15 +16,10 @@ import copy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import (
-    interarrival_distribution,
-    response_distribution,
-    size_distribution,
-    size_stats,
-    timing_stats,
-)
-from repro.metrics import MetricSetState, summary_metrics
+from repro.metrics import SUMMARY_METRIC_NAMES, MetricSetState, summary_metrics
 from repro.workloads.collection import collect
+
+from tests.analysis.oracles import oracle_values
 
 #: One completed (replayed) trace shared by every example: collection is
 #: the expensive part, and the properties quantify over chunkings/splits
@@ -32,21 +28,15 @@ from repro.workloads.collection import collect
 _TRACE = collect("Email", seed=5, num_requests=150).trace
 _COLUMNS = _TRACE.columns()
 _N = len(_COLUMNS)
-_BATCH = {
-    "size_stats": size_stats(_TRACE),
-    "timing_stats": timing_stats(_TRACE),
-    "size_distribution": size_distribution(_TRACE),
-    "response_distribution": response_distribution(_TRACE),
-    "interarrival_distribution": interarrival_distribution(_TRACE),
-}
+_ORACLE = oracle_values(_TRACE, SUMMARY_METRIC_NAMES)
 
 
-def _assert_batch_bits(summary) -> None:
-    assert summary["size_stats"] == _BATCH["size_stats"]
-    assert summary["timing_stats"] == _BATCH["timing_stats"]
-    assert summary["size_distribution"] == _BATCH["size_distribution"]
-    assert summary["response_distribution"] == _BATCH["response_distribution"]
-    assert summary["interarrival_distribution"] == _BATCH["interarrival_distribution"]
+def _assert_oracle_bits(summary) -> None:
+    assert summary["size_stats"] == _ORACLE["size_stats"]
+    assert summary["timing_stats"] == _ORACLE["timing_stats"]
+    assert summary["size_distribution"] == _ORACLE["size_distribution"]
+    assert summary["response_distribution"] == _ORACLE["response_distribution"]
+    assert summary["interarrival_distribution"] == _ORACLE["interarrival_distribution"]
 
 
 def _summary_state(collapse=False):
@@ -76,7 +66,7 @@ def test_any_chunking_matches_batch_bits(cuts):
     bounds = _bounds(cuts)
     for a, b in zip(bounds, bounds[1:]):
         streaming.update(_COLUMNS.select(slice(a, b)))
-    _assert_batch_bits(streaming.finalize(_TRACE.name))
+    _assert_oracle_bits(streaming.finalize(_TRACE.name))
 
 
 def _shards(cuts):
@@ -97,7 +87,7 @@ def test_any_shard_split_merges_to_batch_bits(cuts):
     merged = shards[0]
     for shard in shards[1:]:
         merged.merge(shard)
-    _assert_batch_bits(merged.finalize(_TRACE.name))
+    _assert_oracle_bits(merged.finalize(_TRACE.name))
 
 
 @given(cuts=cuts_strategy)
@@ -133,7 +123,7 @@ def test_merge_tree_order_invariance(cuts):
     assert a["size_distribution"] == b["size_distribution"]
     assert a["response_distribution"] == b["response_distribution"]
     assert a["interarrival_distribution"] == b["interarrival_distribution"]
-    _assert_batch_bits(b)
+    _assert_oracle_bits(b)
 
 
 @given(
@@ -156,4 +146,4 @@ def test_shards_internally_rechunked(cuts, chunk_rows):
             merged = shard
         else:
             merged.merge(shard)
-    _assert_batch_bits(merged.finalize(_TRACE.name))
+    _assert_oracle_bits(merged.finalize(_TRACE.name))

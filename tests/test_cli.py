@@ -69,25 +69,6 @@ class TestStats:
         assert "No-wait" in out
         assert "Arrival rate" in out
 
-    def test_engines_print_byte_identical_tables(self, tmp_path, capsys):
-        path = tmp_path / "t.csv"
-        main(["collect", "Email", "-o", str(path), "--requests", "40"])
-        capsys.readouterr()
-        assert main(["stats", str(path), "--engine", "batch"]) == 0
-        batch = capsys.readouterr()
-        assert main(["stats", str(path), "--engine", "streaming"]) == 0
-        streaming = capsys.readouterr()
-        assert streaming.out == batch.out  # stdout byte-identical
-        assert "[engine: batch]" in batch.err
-        assert "[engine: streaming]" in streaming.err
-
-    def test_engine_note_not_on_stdout(self, tmp_path, capsys):
-        path = tmp_path / "t.csv"
-        main(["generate", "Email", "-o", str(path), "--requests", "20"])
-        capsys.readouterr()
-        assert main(["stats", str(path)]) == 0
-        assert "engine" not in capsys.readouterr().out
-
 
 class TestMetricsList:
     def test_lists_every_registered_metric(self, capsys):

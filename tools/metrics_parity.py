@@ -1,12 +1,12 @@
-"""Sweep every registered metric over the 25 traces with both engines.
+"""Sweep every registered metric over the 25 traces, whole and chunked.
 
 For each paper workload, every metric in the registry is evaluated with
-the batch engine (vectorized whole-array kernel) and the streaming
-engine (chunked fold with O(1) float state).  The two values must be
-**equal** -- ``==`` on floats, the metric layer's exactness contract --
-and the batch values are digested to a canonical JSON fingerprint, so
-CI can additionally assert the digest is invariant across
-``PYTHONHASHSEED`` values and across runs::
+the batch engine (the one-chunk fold over the whole trace) and the
+streaming engine (a fold over small chunks, O(1) float state).  The two
+values must be **equal** -- ``==`` on floats, the metric layer's
+exactness contract -- and the batch values are digested to a canonical
+JSON fingerprint, so CI can additionally assert the digest is invariant
+across ``PYTHONHASHSEED`` values and across runs::
 
     PYTHONHASHSEED=0 PYTHONPATH=src python tools/metrics_parity.py --out seed0.json
     PYTHONHASHSEED=1 PYTHONPATH=src python tools/metrics_parity.py --out seed1.json
@@ -41,7 +41,7 @@ def _jsonable(value):
 
 def sweep(num_requests: int = 700, seed: int = 7) -> dict:
     """Per-trace digests of the batch values; asserts engine parity."""
-    from repro.metrics import all_metrics, batch_values, chunked, fold_chunks
+    from repro.metrics import all_metrics, chunked, fold_chunks
     from repro.workloads import ALL_TRACES, generate_trace
 
     metrics = all_metrics()
@@ -50,7 +50,7 @@ def sweep(num_requests: int = 700, seed: int = 7) -> dict:
     for app in ALL_TRACES:
         trace = generate_trace(app, seed=seed, num_requests=num_requests)
         columns = trace.columns()
-        batch = batch_values(metrics, columns, trace.name)
+        batch = fold_chunks(metrics, [columns], trace.name)
         streamed = fold_chunks(
             metrics, chunked(columns, CHUNK_ROWS), trace.name, collapse=True
         )
@@ -88,7 +88,7 @@ def main(argv=None) -> int:
     else:
         print(payload)
     print(
-        f"[{len(digests)} traces x both engines: parity OK "
+        f"[{len(digests)} traces x whole and chunked folds: parity OK "
         f"in {time.time() - started:.1f}s]",
         file=sys.stderr,
     )
