@@ -54,9 +54,9 @@ from .distributor import RequestDistributor
 from .ftl import Ftl, GreedyGC, StaticWearLeveler, VictimPolicy
 from .geometry import Geometry, PageKind
 from .latency import LatencyParams
-from .ops import FlashOp, FlashOpType, WriteGroup
+from .ops import FlashOp, FlashOpType
 from .power import PowerModel
-from .stats import DeviceStats
+from .stats import DeviceStats, record_write_outcome
 
 
 @dataclass(frozen=True)
@@ -195,6 +195,26 @@ class EmmcDevice:
         #: kernel between a device and its producers (the Android stack,
         #: concurrent app mixes) is what serializes out-of-order arrivals.
         self.kernel = kernel if kernel is not None else EventLoop()
+        self._reset_timelines()
+        # ``telemetry`` mirrors the fault-plan pattern: ``None`` (the
+        # default) is structural absence -- no sink anywhere, no recording
+        # branch taken while serving.  An attached sink is shared with the
+        # kernel (event recording) and the FTL (GC/remap instants).
+        self.telemetry = telemetry
+        if telemetry is not None:
+            self.kernel.telemetry = telemetry
+            attach = getattr(self.ftl, "attach_telemetry", None)
+            if attach is not None:
+                attach(telemetry, self.kernel.clock)
+        self._arm_activity_timers()
+
+    def _reset_timelines(self) -> None:
+        """Fresh admission queue, resource timelines and timer slots.
+
+        Shared by construction and :meth:`recover`: a power cycle loses
+        every in-flight reservation, exactly as a new device has none.
+        """
+        config = self.config
         #: Host-interface admission: ``queue_depth`` slots.
         self.queue = AdmissionQueue(config.queue_depth)
         #: The FTL/controller is a single serialized resource.
@@ -206,20 +226,9 @@ class EmmcDevice:
             self.geometry.num_planes if config.multi_plane else self.geometry.num_dies
         )
         self.units = ResourcePool(units, "plane" if config.multi_plane else "die")
-        # ``telemetry`` mirrors the fault-plan pattern: ``None`` (the
-        # default) is structural absence -- no sink anywhere, no recording
-        # branch taken while serving.  An attached sink is shared with the
-        # kernel (event recording) and the FTL (GC/remap instants).
-        self.telemetry = telemetry
-        if telemetry is not None:
-            self.kernel.telemetry = telemetry
-            attach = getattr(self.ftl, "attach_telemetry", None)
-            if attach is not None:
-                attach(telemetry, self.kernel.clock)
         #: Pending speculative timers (canceled by the next dispatch).
         self._idle_gc_timer: Optional[Event] = None
         self._power_down_timer: Optional[Event] = None
-        self._arm_activity_timers()
 
     @property
     def capacity_bytes(self) -> int:
@@ -364,17 +373,7 @@ class EmmcDevice:
         if self.buffer is not None:
             self.buffer.power_cycle()
         self.kernel = self.kernel.successor(resume_us)
-        self.queue = AdmissionQueue(self.config.queue_depth)
-        self.controller = ResourceTimeline("controller")
-        self.channels = ResourcePool(self.geometry.channels, "channel")
-        units = (
-            self.geometry.num_planes
-            if self.config.multi_plane
-            else self.geometry.num_dies
-        )
-        self.units = ResourcePool(units, "plane" if self.config.multi_plane else "die")
-        self._idle_gc_timer = None
-        self._power_down_timer = None
+        self._reset_timelines()
         self.power.reset_for_recovery(resume_us)
         self.stats.recoveries += 1
         if self.telemetry is not None:
@@ -530,22 +529,19 @@ class EmmcDevice:
         ops: List[FlashOp] = []
         absorbed = False
         if request.is_write:
-            lpns = self.distributor.lpns_of(request)
             if self.buffer is not None:
-                evicted = self.buffer.write(lpns)
+                evicted = self.buffer.write(self.distributor.lpns_of(request))
                 if evicted:
-                    ops.extend(self._write_lpns(evicted))
+                    outcome = self.ftl.write(self.distributor.split_lpns(evicted))
+                    ops.extend(outcome.ops)
+                    record_write_outcome(self.stats, outcome)
                 absorbed = not ops
                 self.stats.data_bytes_written += request.size
             else:
                 outcome = self.ftl.write(self.distributor.split_write(request))
                 ops.extend(outcome.ops)
                 self.stats.data_bytes_written += outcome.data_bytes
-                self.stats.flash_bytes_consumed += outcome.flash_bytes
-                self.stats.gc_collections += len(outcome.gc_results)
-                self.stats.gc_migrated_slots += sum(
-                    result.migrated_slots for result in outcome.gc_results
-                )
+                record_write_outcome(self.stats, outcome)
         else:
             lpns = self.distributor.lpns_of(request)
             if self.buffer is not None:
@@ -559,27 +555,6 @@ class EmmcDevice:
                 self.stats.preloaded_pages += outcome.preloaded_pages
             self.stats.data_bytes_read += request.size
         return ops, absorbed
-
-    def _write_lpns(self, lpns: List[int]) -> List[FlashOp]:
-        """Flush buffered pages: pack into write groups like a host write."""
-        groups: List[WriteGroup] = []
-        large = self.distributor.largest
-        index = 0
-        while index + large.slots <= len(lpns):
-            groups.append(WriteGroup(large, tuple(lpns[index : index + large.slots])))
-            index += large.slots
-        remainder = lpns[index:]
-        if remainder:
-            if self.distributor.hybrid or large.slots == 1:
-                small = self.distributor.smallest
-                groups.extend(WriteGroup(small, (lpn,)) for lpn in remainder)
-            else:
-                padded = tuple(remainder) + (None,) * (large.slots - len(remainder))
-                groups.append(WriteGroup(large, padded))
-        outcome = self.ftl.write(groups)
-        self.stats.flash_bytes_consumed += outcome.flash_bytes
-        self.stats.gc_collections += len(outcome.gc_results)
-        return outcome.ops
 
     # -- timing engine --------------------------------------------------------------
 

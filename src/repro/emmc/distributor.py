@@ -57,7 +57,14 @@ class RequestDistributor:
         """Distribute a write request over physical pages."""
         if not request.is_write:
             raise ValueError("split_write needs a write request")
-        lpns = self.lpns_of(request)
+        return self.split_lpns(self.lpns_of(request))
+
+    def split_lpns(self, lpns: Sequence[int]) -> List[WriteGroup]:
+        """Pack logical pages into write groups, in order.
+
+        The one splitter: host writes, RAM-buffer flushes and the replay
+        planner's GC-risky fallback all pack their LPNs here.
+        """
         large = self.largest
         if large.slots == 1:
             # Pure small-page device: one group per logical page.

@@ -12,9 +12,10 @@ Retirement order matters for boundedness:
    :class:`~repro.faults.plan.SparePoolExhausted` when the per-plane
    budget is gone), so the remap migration always has at least one free
    block's worth of destination pages;
-2. the victim's valid slots are re-packed into fresh pages (same repack
-   as GC migration, ``gc=True`` ops so timing and counters attribute them
-   to background work);
+2. the victim's valid slots are re-packed into fresh pages by
+   :func:`~repro.emmc.ftl.gc.migrate_valid_slots`, the routine GC uses
+   (``gc=True`` ops, so timing and counters attribute them to background
+   work);
 3. the victim is detached: never erased, never freed, skipped by GC and
    wear-leveling from then on.
 
@@ -30,9 +31,10 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from ..geometry import PageKind
-from ..ops import FlashOp, FlashOpType
+from ..ops import FlashOp
 from .blocks import Block, Plane
-from .mapping import PageMapping, PhysicalLocation
+from .gc import migrate_valid_slots
+from .mapping import PageMapping
 
 
 class BadBlockManager:
@@ -89,35 +91,8 @@ class BadBlockManager:
         if plane.active_block[kind] == victim.block_id:
             plane.active_block[kind] = None
 
-        ops: List[FlashOp] = []
-        entries = victim.valid_entries()
-        pages_with_valid = sorted({page for page, _, _ in entries})
-        slot_bytes = kind.bytes // kind.slots
-        for page in pages_with_valid:
-            valid_here = sum(1 for p, _, _ in entries if p == page)
-            ops.append(
-                FlashOp(FlashOpType.READ, plane.plane_id, kind, valid_here * slot_bytes, gc=True)
-            )
-        lpns = [lpn for _, _, lpn in entries]
-        for start in range(0, len(lpns), kind.slots):
-            chunk = lpns[start : start + kind.slots]
-            padded = tuple(chunk) + (None,) * (kind.slots - len(chunk))
-            block, _ = allocator.allocate(plane, kind)
-            page_index = block.program(padded)
-            for slot, lpn in enumerate(padded):
-                if lpn is None:
-                    continue
-                old = mapping.update(
-                    lpn,
-                    PhysicalLocation(plane.plane_id, kind, block.block_id, page_index, slot),
-                )
-                if old is None or old.block_id != victim.block_id:
-                    raise RuntimeError("remap migrated an LPN that moved underneath it")
-            ops.append(FlashOp(FlashOpType.PROGRAM, plane.plane_id, kind, kind.bytes, gc=True))
-        for page, slot, _ in entries:
-            victim.invalidate(page, slot)
-
+        ops, migrated = migrate_valid_slots(plane, kind, victim, allocator, mapping)
         plane.retire_block(kind, victim.block_id)
         self.retired += 1
-        self.migrated_slots += len(entries)
+        self.migrated_slots += migrated
         return ops

@@ -17,13 +17,61 @@ from __future__ import annotations
 
 import enum
 import random
+from collections import Counter
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from ..geometry import PageKind
 from ..ops import FlashOp, FlashOpType
 from .blocks import Block, OutOfSpaceError, Plane
 from .mapping import PageMapping, PhysicalLocation
+
+
+def migrate_valid_slots(
+    plane: Plane,
+    kind: PageKind,
+    victim: Block,
+    allocator,
+    mapping: PageMapping,
+) -> Tuple[List[FlashOp], int]:
+    """Re-pack ``victim``'s valid slots into fresh ``kind`` pages of ``plane``.
+
+    The one migration routine behind GC, static wear-leveling and
+    bad-block remap.  It emits one READ per page that still holds valid
+    data (ascending page order, payload = that page's valid slots), then
+    one PROGRAM per re-packed page; every moved LPN is remapped and the
+    victim's old slots are invalidated.  Returns the ops (all ``gc=True``)
+    and the number of slots moved.
+    """
+    entries = victim.valid_entries()
+    plane_id = plane.plane_id
+    victim_id = victim.block_id
+    slots = kind.slots
+    page_bytes = kind.bytes
+    slot_bytes = page_bytes // slots
+    valid_per_page = Counter(page for page, _, _ in entries)
+    ops = [
+        FlashOp(FlashOpType.READ, plane_id, kind, count * slot_bytes, gc=True)
+        for _, count in sorted(valid_per_page.items())
+    ]
+    lpns = [lpn for _, _, lpn in entries]
+    for start in range(0, len(lpns), slots):
+        chunk = lpns[start : start + slots]
+        padded = tuple(chunk) + (None,) * (slots - len(chunk))
+        block, _ = allocator.allocate(plane, kind)
+        page_index = block.program(padded)
+        for slot, lpn in enumerate(padded):
+            if lpn is None:
+                continue
+            old = mapping.update(
+                lpn, PhysicalLocation(plane_id, kind, block.block_id, page_index, slot)
+            )
+            if old is None or old.block_id != victim_id:
+                raise RuntimeError("migrated an LPN that moved underneath it")
+        ops.append(FlashOp(FlashOpType.PROGRAM, plane_id, kind, page_bytes, gc=True))
+    for page, slot, _ in entries:
+        victim.invalidate(page, slot)
+    return ops, len(entries)
 
 
 class VictimPolicy(enum.Enum):
@@ -120,36 +168,7 @@ class GreedyGC:
         Used by normal GC (victim chosen by :meth:`select_victim`) and by
         static wear-leveling (victim chosen by coldness).
         """
-        ops: List[FlashOp] = []
-        entries = victim.valid_entries()
-        # One page read per physical page that still holds valid data.
-        pages_with_valid = sorted({page for page, _, _ in entries})
-        slot_bytes = kind.bytes // kind.slots
-        for page in pages_with_valid:
-            valid_here = sum(1 for p, _, _ in entries if p == page)
-            ops.append(
-                FlashOp(FlashOpType.READ, plane.plane_id, kind, valid_here * slot_bytes, gc=True)
-            )
-        # Re-pack the valid LPNs into fresh pages.
-        lpns = [lpn for _, _, lpn in entries]
-        for start in range(0, len(lpns), kind.slots):
-            chunk = lpns[start : start + kind.slots]
-            padded = tuple(chunk) + (None,) * (kind.slots - len(chunk))
-            block, _ = allocator.allocate(plane, kind)
-            page_index = block.program(padded)
-            for slot, lpn in enumerate(padded):
-                if lpn is None:
-                    continue
-                old = mapping.update(
-                    lpn,
-                    PhysicalLocation(plane.plane_id, kind, block.block_id, page_index, slot),
-                )
-                if old is None or old.block_id != victim.block_id:
-                    raise RuntimeError("GC migrated an LPN that moved underneath it")
-            ops.append(FlashOp(FlashOpType.PROGRAM, plane.plane_id, kind, kind.bytes, gc=True))
-        # Invalidate the victim's now-stale slots and erase it.
-        for page, slot, _ in entries:
-            victim.invalidate(page, slot)
+        ops, migrated = migrate_valid_slots(plane, kind, victim, allocator, mapping)
         if (
             self.faults is not None
             and self.faults.erase_active
@@ -166,7 +185,7 @@ class GreedyGC:
             victim.erase()
             plane.free_blocks[kind].append(victim.block_id)
         ops.append(FlashOp(FlashOpType.ERASE, plane.plane_id, kind, 0, gc=True))
-        return GcResult(ops=ops, migrated_slots=len(entries), erased_block=victim.block_id)
+        return GcResult(ops=ops, migrated_slots=migrated, erased_block=victim.block_id)
 
     def reclaim_until_safe(
         self,

@@ -152,3 +152,19 @@ class DeviceStats:
         # page_programs counts *all* programs incl. GC; host share is
         # flash_bytes_consumed, the rest is GC-induced.
         return gc_bytes / host if gc_bytes >= host else 1.0
+
+
+def record_write_outcome(counters, outcome) -> None:
+    """Apply one FTL write's flash bytes, GC collections and migrated slots.
+
+    The one foreground-write accounting path.  ``counters`` is a
+    :class:`DeviceStats` (host writes and RAM-buffer flushes alike) or the
+    replay planner's per-trace deltas, which carry the same three fields.
+    Host data bytes stay with the caller: a buffered write counts them
+    once, when the buffer absorbs it.
+    """
+    counters.flash_bytes_consumed += outcome.flash_bytes
+    counters.gc_collections += len(outcome.gc_results)
+    counters.gc_migrated_slots += sum(
+        result.migrated_slots for result in outcome.gc_results
+    )

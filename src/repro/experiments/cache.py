@@ -8,6 +8,7 @@ An entry is addressed by the SHA-256 of a canonical JSON document::
       "experiment_id": ...,
       "params": {"seed": ..., "num_requests": ..., ...},   # spec-filtered
       "code_fingerprint": sha256(every .py file of the repro package),
+      "fault_profile": $REPRO_FAULT_PROFILE or null,
       "version": repro.__version__,
       "format": CACHE_FORMAT,
     }
@@ -17,7 +18,10 @@ seed change never invalidates a seed-independent experiment, while any
 change to the package's source -- the experiment itself or anything it
 reaches, down to the FTL -- the package version or the on-disk format
 changes the key and naturally invalidates stale entries (content
-addressing: old entries are simply never looked up again).
+addressing: old entries are simply never looked up again).  The fault
+profile is part of the key because ``common.replay_on`` threads it into
+every replay: a result computed under faults is never served to a clean
+run, or the other way round.
 
 Storage
 -------
@@ -48,7 +52,7 @@ import repro
 from repro import __version__
 from repro.store.table import write_durably
 
-from .common import ExperimentResult
+from .common import FAULT_PROFILE_ENV, ExperimentResult
 from .spec import ExperimentSpec
 
 #: Bump when the on-disk entry layout changes; invalidates every entry.
@@ -134,6 +138,7 @@ def cache_key(
         "experiment_id": spec.experiment_id,
         "params": spec.cache_relevant_params(seed, num_requests),
         "code_fingerprint": code_fingerprint(spec),
+        "fault_profile": os.environ.get(FAULT_PROFILE_ENV) or None,
         "version": __version__,
         "format": CACHE_FORMAT,
     }

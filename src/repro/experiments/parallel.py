@@ -119,55 +119,32 @@ def _cost_rank(spec: ExperimentSpec) -> int:
     return COST_CLASSES.index(spec.cost)
 
 
-def _topological_waves(specs: Sequence[ExperimentSpec]) -> List[List[ExperimentSpec]]:
-    """Dependency waves; deps outside the selection count as satisfied."""
-    selected = {spec.experiment_id for spec in specs}
-    done: set = set()
-    remaining = list(specs)
-    waves: List[List[ExperimentSpec]] = []
-    while remaining:
-        ready = [
-            spec
-            for spec in remaining
-            if all(dep in done or dep not in selected for dep in spec.deps)
-        ]
-        if not ready:
-            cycle = [spec.experiment_id for spec in remaining]
-            raise ValueError(f"dependency cycle among experiments: {cycle}")
-        # Heavy experiments first so the pool drains evenly.
-        ready.sort(key=_cost_rank)
-        waves.append(ready)
-        done.update(spec.experiment_id for spec in ready)
-        remaining = [spec for spec in remaining if spec.experiment_id not in done]
-    return waves
-
-
-#: A wave entry: (result, serial-equivalent seconds, shard count, wall points).
+#: A computed entry: (result, serial-equivalent seconds, shard count, wall points).
 _Computed = Tuple[ExperimentResult, float, int, List[WallPoint]]
 
 
-def _execute_wave_serial(
-    wave: Sequence[ExperimentSpec],
+def _execute_serial(
+    specs: Sequence[ExperimentSpec],
     seed: int,
     num_requests: Optional[int],
 ) -> Dict[str, _Computed]:
     computed: Dict[str, _Computed] = {}
-    for spec in wave:
+    for spec in specs:
         result, duration, wall = _run_whole(spec.experiment_id, seed, num_requests)
         computed[spec.experiment_id] = (result, duration, 0, [wall])
     return computed
 
 
-def _execute_wave_parallel(
+def _execute_parallel(
     pool: ProcessPoolExecutor,
-    wave: Sequence[ExperimentSpec],
+    specs: Sequence[ExperimentSpec],
     seed: int,
     num_requests: Optional[int],
 ) -> Dict[str, _Computed]:
     whole_futures = {}
     shard_futures = {}
     shard_counts: Dict[str, int] = {}
-    for spec in wave:
+    for spec in specs:
         if spec.shards is not None and len(spec.shards.units) > 1:
             shard_counts[spec.experiment_id] = len(spec.shards.units)
             for unit in spec.shards.units:
@@ -183,8 +160,8 @@ def _execute_wave_parallel(
     payloads: Dict[str, Dict[str, object]] = {
         experiment_id: {} for experiment_id in shard_counts
     }
-    compute: Dict[str, float] = {spec.experiment_id: 0.0 for spec in wave}
-    walls: Dict[str, List[WallPoint]] = {spec.experiment_id: [] for spec in wave}
+    compute: Dict[str, float] = {spec.experiment_id: 0.0 for spec in specs}
+    walls: Dict[str, List[WallPoint]] = {spec.experiment_id: [] for spec in specs}
     computed: Dict[str, _Computed] = {}
     pending = set(whole_futures) | set(shard_futures)
     while pending:
@@ -316,34 +293,32 @@ def execute(
             to_compute.append(spec)
 
     if to_compute:
-        waves = _topological_waves(to_compute)
+        # Heavy experiments first so the pool drains evenly.
+        to_compute.sort(key=_cost_rank)
         pool: Optional[ProcessPoolExecutor] = None
         try:
             if jobs > 1:
                 pool = process_pool(jobs, seed)
-            for wave in waves:
-                wave_started = time.perf_counter()
-                if pool is None:
-                    computed = _execute_wave_serial(wave, seed, num_requests)
-                else:
-                    computed = _execute_wave_parallel(pool, wave, seed, num_requests)
-                wave_wall = time.perf_counter() - wave_started
-                for spec in wave:
-                    result, compute_s, shards, walls = computed[spec.experiment_id]
-                    if wall_sink is not None:
-                        _emit_wall_spans(
-                            wall_sink, spec, walls, shards, run_started
-                        )
-                    results_by_id[spec.experiment_id] = result
-                    telemetry_by_id[spec.experiment_id] = ExperimentTelemetry(
-                        experiment_id=spec.experiment_id,
-                        compute_s=compute_s,
-                        wall_s=compute_s if pool is None else wave_wall,
-                        cache="miss" if cache.enabled else "off",
-                        shards=shards,
-                        cost=spec.cost,
-                    )
-                    cache.store(spec, seed, num_requests, result)
+            compute_started = time.perf_counter()
+            if pool is None:
+                computed = _execute_serial(to_compute, seed, num_requests)
+            else:
+                computed = _execute_parallel(pool, to_compute, seed, num_requests)
+            compute_wall = time.perf_counter() - compute_started
+            for spec in to_compute:
+                result, compute_s, shards, walls = computed[spec.experiment_id]
+                if wall_sink is not None:
+                    _emit_wall_spans(wall_sink, spec, walls, shards, run_started)
+                results_by_id[spec.experiment_id] = result
+                telemetry_by_id[spec.experiment_id] = ExperimentTelemetry(
+                    experiment_id=spec.experiment_id,
+                    compute_s=compute_s,
+                    wall_s=compute_s if pool is None else compute_wall,
+                    cache="miss" if cache.enabled else "off",
+                    shards=shards,
+                    cost=spec.cost,
+                )
+                cache.store(spec, seed, num_requests, result)
         finally:
             if pool is not None:
                 pool.shutdown(wait=True)

@@ -63,16 +63,10 @@ REGISTRY: "OrderedDict[str, ExperimentSpec]" = OrderedDict(
     (module.SPEC.experiment_id, module.SPEC) for module in _MODULES
 )
 
-# Paranoia: a mis-declared spec (duplicate id, dangling dep) should fail at
-# import time, not at schedule time inside a worker.
+# Paranoia: a duplicate id should fail at import time, not at schedule
+# time inside a worker.
 if len(REGISTRY) != len(_MODULES):  # pragma: no cover - guarded by tests
     raise RuntimeError("duplicate experiment ids in registry")
-for _spec in REGISTRY.values():  # pragma: no branch
-    for _dep in _spec.deps:
-        if _dep not in REGISTRY:  # pragma: no cover - guarded by tests
-            raise RuntimeError(
-                f"{_spec.experiment_id}: unknown dependency {_dep!r}"
-            )
 
 
 def get_spec(experiment_id: str) -> ExperimentSpec:

@@ -2,9 +2,9 @@
 
 Every experiment module exports a module-level :data:`SPEC`, an
 :class:`ExperimentSpec` describing how to run it: the runner callable, its
-scheduling cost class, dependencies on other experiments, and (for the
-heavy replay studies) a :class:`ShardPlan` that lets the parallel engine
-split the experiment into independent per-trace units of work.
+scheduling cost class, and (for the heavy replay studies) a
+:class:`ShardPlan` that lets the parallel engine split the experiment into
+independent per-trace units of work.
 
 The specs replace the ad-hoc ``lambda seed, n: module.run(...)`` registry
 that :mod:`repro.experiments.runner` used to carry.  Keeping everything a
@@ -67,11 +67,6 @@ class ExperimentSpec:
         Module-level callable with the ``(seed, num_requests)`` convention.
     cost:
         One of :data:`COST_CLASSES`; orders submission to the worker pool.
-    deps:
-        Ids of experiments that must complete before this one is
-        scheduled.  All current experiments are independent, but the
-        scheduler honours the field so future pipeline stages (e.g. a
-        summary experiment over earlier results) need no engine changes.
     shards:
         Optional :class:`ShardPlan` for splitting the experiment across
         workers at finer granularity than whole experiments.
@@ -86,7 +81,6 @@ class ExperimentSpec:
     title: str
     runner: Runner
     cost: str = "light"
-    deps: Tuple[str, ...] = ()
     shards: Optional[ShardPlan] = None
     uses_seed: bool = True
     uses_requests: bool = True

@@ -32,9 +32,6 @@ class FastPathUnavailable(RuntimeError):
 #: own ``dispatch >= arrival`` / ``finish >= dispatch`` invariants.
 _NEW_REQUEST = Request.__new__
 
-_OFF_MODES = frozenset(("off", "0", "kernel", "false", "no"))
-_ON_MODES = frozenset(("auto", "1", "on", "true", "yes"))
-_REQUIRE_MODES = frozenset(("require", "force"))
 
 
 def maybe_fast_replay(device, trace):
@@ -47,16 +44,16 @@ def maybe_fast_replay(device, trace):
     the event kernel.
     """
     mode = os.environ.get(REPLAY_FASTPATH_ENV, "auto").strip().lower() or "auto"
-    if mode in _OFF_MODES:
+    if mode == "off":
         return None
-    if mode not in _ON_MODES and mode not in _REQUIRE_MODES:
+    if mode not in ("auto", "require"):
         raise ValueError(
             f"unknown {REPLAY_FASTPATH_ENV}={mode!r}: "
             "expected auto, off, or require"
         )
     decision = decide(device, trace)
     if not decision.eligible:
-        if mode in _REQUIRE_MODES:
+        if mode == "require":
             raise FastPathUnavailable(
                 f"{REPLAY_FASTPATH_ENV}={mode} but the fast path is "
                 "ineligible: " + "; ".join(decision.reasons)

@@ -20,9 +20,11 @@ from typing import Tuple
 #:
 #: * ``auto`` (default/unset) -- use the fast path when eligible, fall
 #:   back to the event kernel otherwise;
-#: * ``off``/``0``/``kernel`` -- never use the fast path;
-#: * ``require``/``force`` -- raise if the fast path is ineligible
-#:   (parity jobs use this so a silent fallback cannot mask a regression).
+#: * ``off`` -- never use the fast path;
+#: * ``require`` -- raise if the fast path is ineligible (parity jobs use
+#:   this so a silent fallback cannot mask a regression).
+#:
+#: Any other value raises ``ValueError``.
 REPLAY_FASTPATH_ENV = "REPRO_REPLAY_FASTPATH"
 
 

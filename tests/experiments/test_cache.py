@@ -21,6 +21,7 @@ from repro.experiments.cache import (
     code_fingerprint,
     default_cache_dir,
 )
+from repro.experiments.common import FAULT_PROFILE_ENV
 from repro.experiments.registry import REGISTRY
 
 IDS = ["fig4", "fig6", "table3"]
@@ -110,6 +111,28 @@ class TestInvalidation:
         before = cache_key(spec, SEED, N)
         monkeypatch.setattr("repro.experiments.cache.__version__", "0.0.0-test")
         assert cache_key(spec, SEED, N) != before
+
+    def test_key_depends_on_fault_profile(self, monkeypatch):
+        spec = REGISTRY["fig4"]
+        monkeypatch.delenv(FAULT_PROFILE_ENV, raising=False)
+        clean = cache_key(spec, SEED, N)
+        monkeypatch.setenv(FAULT_PROFILE_ENV, "transient-reads")
+        faulted = cache_key(spec, SEED, N)
+        monkeypatch.setenv(FAULT_PROFILE_ENV, "wearout")
+        assert len({clean, faulted, cache_key(spec, SEED, N)}) == 3
+        monkeypatch.setenv(FAULT_PROFILE_ENV, "")
+        assert cache_key(spec, SEED, N) == clean
+
+    def test_faulted_result_not_served_to_a_clean_run(
+        self, cache, compute_spy, monkeypatch
+    ):
+        # fig9 replays through common.replay_on, which honours the profile.
+        monkeypatch.setenv(FAULT_PROFILE_ENV, "transient-reads")
+        parallel.execute(ids=["fig9"], seed=SEED, num_requests=N, cache=cache)
+        monkeypatch.delenv(FAULT_PROFILE_ENV)
+        compute_spy.clear()
+        parallel.execute(ids=["fig9"], seed=SEED, num_requests=N, cache=cache)
+        assert compute_spy == ["fig9"]
 
     def test_seed_independent_experiment_shares_entries(self):
         spec = REGISTRY["overhead"]  # declared uses_seed=False

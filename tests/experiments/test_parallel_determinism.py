@@ -104,31 +104,6 @@ class TestEngineEdges:
         )
         assert [r.experiment_id for r in summary.results] == ["fig6", "fig4", "fig5"]
 
-    def test_dependency_cycle_detected(self):
-        import dataclasses
-
-        from repro.experiments import fig4 as fig4_module
-
-        a = dataclasses.replace(fig4_module.SPEC, experiment_id="a", deps=("b",))
-        b = dataclasses.replace(fig4_module.SPEC, experiment_id="b", deps=("a",))
-        with pytest.raises(ValueError, match="cycle"):
-            parallel._topological_waves([a, b])
-
-    def test_deps_scheduled_in_earlier_wave(self):
-        import dataclasses
-
-        from repro.experiments import fig4 as fig4_module
-
-        first = dataclasses.replace(fig4_module.SPEC, experiment_id="first")
-        second = dataclasses.replace(
-            fig4_module.SPEC, experiment_id="second", deps=("first",)
-        )
-        waves = parallel._topological_waves([second, first])
-        assert [[s.experiment_id for s in wave] for wave in waves] == [
-            ["first"],
-            ["second"],
-        ]
-
 
 @pytest.mark.slow
 class TestQuickModeDeterminism:
